@@ -317,8 +317,7 @@ func foldJournal(base *graph.Graph, reqs []core.TimedRequest) *graph.Frozen {
 }
 
 // memoAt exports the incremental engine's memo after stepping the first
-// count journal records — what rejectod persists into a snapshot when
-// running with -incremental.
+// count journal records — what rejectod persists into a snapshot.
 func memoAt(w *incrWorld, opts core.DetectorOptions, count int) (*incr.MemoState, error) {
 	eng, err := incr.NewEngine(incr.Config{Base: w.base, Detector: opts, DisableWarm: true})
 	if err != nil {

@@ -45,6 +45,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 func main() { os.Exit(run()) }
@@ -71,7 +72,7 @@ func run() int {
 		retryTO   = flag.Duration("retry-timeout", 0, "per-RPC timeout classified as transient (0 = none)")
 		retryBack = flag.Duration("retry-backoff", 0, "base backoff between RPC retries (0 = engine default)")
 		chaosSeed = flag.Uint64("chaos-seed", 0, "inject the seeded 'mixed' chaos fault schedule into the distributed run (0 = off)")
-		requests  = flag.String("requests", "", "request-log file for per-interval sharded detection (§VII); -graph supplies the friendship base")
+		requests  = flag.String("requests", "", "request-log file, or a stopped rejectod's -store-dir, for per-interval sharded detection (§VII); -graph supplies the friendship base")
 		tracePath = flag.String("trace", "", "write a JSONL event trace to this file")
 		verbose   = flag.Bool("v", false, "print per-round summary table and phase attribution")
 		debugAddr = flag.String("debug-addr", "", "serve expvar and pprof on this address, e.g. :6060")
@@ -227,7 +228,7 @@ func writeSuspects(det core.Detection, out string) int {
 // runSharded executes the §VII deployment: requests sharded by time
 // interval, one detection per interval over the friendship base.
 func runSharded(base *graph.Graph, path string, opts core.DetectorOptions) int {
-	reqs, err := graphio.ReadRequestsFile(path)
+	reqs, err := readRequests(path)
 	if err != nil {
 		return fail("reading requests: %v", err)
 	}
@@ -248,6 +249,29 @@ func runSharded(base *graph.Graph, path string, opts core.DetectorOptions) int {
 		return 130
 	}
 	return 0
+}
+
+// readRequests loads the answered-request journal at path: a graphio
+// request-log file, or — when path is a directory — a stopped rejectod's
+// segmented store, recovered exactly as a restart would (a torn tail is
+// truncated in place).
+func readRequests(path string) ([]core.TimedRequest, error) {
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		return graphio.ReadRequestsFile(path)
+	}
+	st, err := storage.Open(storage.Options{Dir: path})
+	if err != nil {
+		return nil, err
+	}
+	var reqs []core.TimedRequest
+	_, err = st.Recover(func(batch []core.TimedRequest) error {
+		reqs = append(reqs, batch...)
+		return nil
+	})
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	return reqs, err
 }
 
 func detectDistributed(g *graph.Graph, opts core.DetectorOptions, workers int, retry dist.RetryPolicy, chaosSeed uint64, tr obs.Tracer, cancel <-chan struct{}) (core.Detection, error) {

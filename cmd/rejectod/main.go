@@ -1,55 +1,52 @@
 // Command rejectod runs Rejecto as a long-lived online detection service:
 // it ingests friend-request lifecycle events over HTTP/JSON, journals every
-// answered request to an append-only log, periodically (and on demand) runs
-// the batch detection engine over a snapshot of that log, and serves the
+// answered request, periodically (and on demand) advances the incremental
+// epoch engine (internal/incr) by the journal's new tail, and serves the
 // latest suspects.
 //
 // Usage:
 //
 //	rejectod -graph base.txt [-listen :8080]
 //	         [-target 100 | -threshold 0.5] [-detect-every 30s]
-//	         [-journal events.log | -store-dir data/]
-//	         [-segment-bytes 4194304] [-snapshot-every 100000]
-//	         [-queue 1024]
+//	         [-store-dir data/] [-segment-bytes 4194304] [-snapshot-every 100000]
 //	         [-cluster-shards 4] [-cluster-workers 2]
-//	         [-incremental] [-incr-max-patch 0.25] [-no-warm-start]
+//	         [-queue 1024] [-no-warm-start]
 //	         [-score-deny 0.8] [-score-throttle 0.5] [-score-window 1024]
-//	         [-kmin 0.03125] [-kmax 32] [-seed 42]
-//	         [-ml] [-ml-coarsest 128] [-ml-max-levels 0]
+//	         [-kmin 0.03125] [-kmax 32] [-seed 42] [-ml]
 //	         [-trace run.jsonl] [-v] [-debug-addr :6060]
 //
-// -store-dir selects the segmented storage engine (internal/storage): the
-// journal lives in fixed-size CRC32C-checksummed segments, -snapshot-every
-// persists a snapshot (journal prefix + frozen read model + incremental
-// memo) after detections once that many new records accumulated, and
-// restart replays only the delta since the last snapshot. A torn tail left
-// by a crash is truncated on boot; any other checksum failure refuses to
-// start (see docs/OPERATIONS.md). -journal keeps the flat text journal
-// instead; the two are mutually exclusive.
+// There is one serving path. Each detection patches the previous epoch's
+// frozen snapshots with the journal delta instead of re-folding the whole
+// log, reuses untouched intervals, and warm-starts each interval's sweep
+// from the previous epoch's cut (quality-gated; -no-warm-start forces cold
+// solves, making every published epoch byte-identical to a cold batch
+// replay of its journal prefix). GET /v1/stats reports the last epoch's
+// patch/reuse/warm breakdown, and /debug/vars the rejecto.incr_* counters.
+// What varies is where the journal lives:
 //
-// -cluster-shards N runs the multi-node sharded rejectod (internal/cluster):
-// ingest and journaling partition by the sender's user-ID range, detection
-// by interval, each shard running its own incremental engine over its own
-// segmented journal partition under -store-dir (which is required and
-// becomes the cluster root, one shard-NNN directory per shard). A
-// coordinator ships batches and epoch deltas to -cluster-workers dist
-// workers (default: one per shard) over the in-process transport and merges
-// the per-shard detections into epochs byte-identical to a single-node
-// server over the same journal. Mutually exclusive with -journal,
-// -incremental, and -snapshot-every; GET /v1/stats gains a "backend"
-// section with per-shard records, engine progress, and step timings, and
-// /debug/vars the rejecto.cluster_* counters.
+//   - no -store-dir: in memory; state is lost on exit.
+//   - -store-dir: the segmented storage engine (internal/storage). The
+//     journal lives in fixed-size CRC32C-checksummed segments,
+//     -snapshot-every persists a snapshot (journal prefix + frozen read
+//     model + engine memo) after detections once that many new records
+//     accumulated, and restart replays only the delta since the last
+//     snapshot. A torn tail left by a crash is truncated on boot; any other
+//     checksum failure refuses to start (see docs/OPERATIONS.md).
+//   - -store-dir with -cluster-shards N: the multi-node sharded rejectod
+//     (internal/cluster). Ingest and journaling partition by the sender's
+//     user-ID range, detection by interval, each shard running its own
+//     engine over its own journal partition under -store-dir (one shard-NNN
+//     directory per shard). A coordinator ships batches and epoch deltas to
+//     -cluster-workers dist workers (default: one per shard) over the
+//     in-process transport and merges the per-shard detections into epochs
+//     byte-identical to a single-node -no-warm-start server over the same
+//     journal. Excludes -snapshot-every; GET /v1/stats gains a "backend"
+//     section with per-shard records, engine progress, and step timings,
+//     and /debug/vars the rejecto.cluster_* counters.
 //
-// -incremental switches the detector to the incremental epoch engine
-// (internal/incr): each detection patches the previous epoch's frozen
-// snapshots with the journal delta instead of re-folding the whole log,
-// reuses untouched intervals, and warm-starts each interval's sweep from
-// the previous epoch's cut (quality-gated; -no-warm-start forces cold
-// solves, making the published suspect sets byte-identical to batch mode).
-// -incr-max-patch bounds the delta-to-graph edge ratio above which a
-// snapshot is rebuilt cold. GET /v1/stats reports the mode plus the last
-// epoch's patch/reuse/warm breakdown, and /debug/vars carries the
-// rejecto.incr_* counters.
+// A journal write or fsync failure is loud: from the first one, POST
+// /v1/events and /v1/detect answer 503, /v1/stats carries journal_error,
+// and the last good epoch and /v1/score keep being served.
 //
 // The real-time verdict path (internal/score) serves GET/POST /v1/score:
 // per-account online features (request rate, rejection velocity,
@@ -74,8 +71,9 @@
 //	GET  /healthz        liveness
 //
 // The server's state is a pure function of its journal: restarting with the
-// same -journal file recovers exactly, and `rejecto -graph base.txt
-// -requests events.log` reproduces the server's suspect sets byte for byte.
+// same -store-dir recovers exactly, and `rejecto -graph base.txt -requests
+// data/` replays the directory to the suspect sets a -no-warm-start server
+// published, byte for byte.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener stops, any running
 // detection is interrupted between rounds, the ingest queue drains, the
@@ -115,24 +113,19 @@ func run() int {
 		target      = flag.Int("target", 0, "per-interval estimated spammer count (termination condition)")
 		threshold   = flag.Float64("threshold", 0, "acceptance-rate termination threshold, e.g. 0.5")
 		detectEvery = flag.Duration("detect-every", 0, "run detection on this period (0 disables; POST /v1/detect always works)")
-		journal     = flag.String("journal", "", "append answered requests to this flat text file; recovers state from it on start")
-		storeDir    = flag.String("store-dir", "", "journal in segmented, checksummed storage under this directory (mutually exclusive with -journal)")
+		storeDir    = flag.String("store-dir", "", "journal in segmented, checksummed storage under this directory; recovers state from it on start")
 		segBytes    = flag.Int64("segment-bytes", 0, "with -store-dir, seal and roll segments at this size (0 = default 4 MiB)")
 		snapEvery   = flag.Int("snapshot-every", 0, "with -store-dir, persist a snapshot after a detection once this many new records accumulated (0 disables)")
 		queueSize   = flag.Int("queue", 1024, "ingest queue bound; a full queue answers 429")
 		clShards    = flag.Int("cluster-shards", 0, "run the multi-node sharded backend with this many shards (requires -store-dir as the cluster root)")
 		clWorkers   = flag.Int("cluster-workers", 0, "with -cluster-shards, the worker count shards are placed on (0 = one per shard)")
-		incremental = flag.Bool("incremental", false, "use the incremental epoch engine: patch snapshots and warm-start sweeps instead of re-folding the journal")
-		incrPatch   = flag.Float64("incr-max-patch", 0, "delta-to-graph edge ratio above which a snapshot rebuilds cold (0 = default 0.25)")
-		noWarm      = flag.Bool("no-warm-start", false, "with -incremental, solve every round cold (byte-identical to batch mode)")
+		noWarm      = flag.Bool("no-warm-start", false, "solve every round cold: epochs byte-identical to a batch replay of the journal")
 		scoreDeny   = flag.Float64("score-deny", 0, "/v1/score deny threshold (0 = default 0.8)")
 		scoreThrot  = flag.Float64("score-throttle", 0, "/v1/score throttle threshold (0 = default 0.5)")
 		scoreWindow = flag.Int("score-window", 0, "sliding-window width of the score rate features, in answered requests (0 = default 1024)")
 		kmin        = flag.Float64("kmin", 0, "minimum friends-to-rejections ratio in the sweep")
 		kmax        = flag.Float64("kmax", 0, "maximum friends-to-rejections ratio in the sweep")
 		mlSweep     = flag.Bool("ml", false, "run sweeps through the multilevel coarsen/solve/refine ladder")
-		mlCoarse    = flag.Int("ml-coarsest", 0, "multilevel: stop coarsening below this many nodes (0 = default)")
-		mlLevels    = flag.Int("ml-max-levels", 0, "multilevel: maximum coarsening levels (0 = default)")
 		seed        = flag.Uint64("seed", 42, "random seed")
 		tracePath   = flag.String("trace", "", "write a JSONL event trace of every detection to this file")
 		verbose     = flag.Bool("v", false, "print a per-round summary table after each detection epoch")
@@ -191,10 +184,7 @@ func run() int {
 	}
 
 	detector := core.DetectorOptions{
-		Cut: core.CutOptions{
-			KMin: *kmin, KMax: *kmax, RandSeed: *seed,
-			Multilevel: *mlSweep, MLCoarsestNodes: *mlCoarse, MLMaxLevels: *mlLevels,
-		},
+		Cut:                 core.CutOptions{KMin: *kmin, KMax: *kmax, RandSeed: *seed, Multilevel: *mlSweep},
 		TargetCount:         *target,
 		AcceptanceThreshold: *threshold,
 	}
@@ -204,22 +194,21 @@ func run() int {
 	if *clShards > 0 {
 		// Cluster mode: the coordinator owns the store directory (one
 		// segmented partition per shard) and the detection strategy; the
-		// flat-journal, incremental, and snapshot paths don't compose.
+		// single-store snapshot path doesn't compose.
 		if *storeDir == "" {
 			return fail("-cluster-shards requires -store-dir as the cluster journal root")
 		}
-		if *journal != "" || *incremental || *snapEvery > 0 {
-			return fail("-cluster-shards is mutually exclusive with -journal, -incremental, and -snapshot-every")
+		if *snapEvery > 0 {
+			return fail("-cluster-shards is mutually exclusive with -snapshot-every")
 		}
 		coord, err := cluster.New(cluster.Config{
-			Base:             g,
-			Detector:         detector,
-			Shards:           *clShards,
-			Workers:          *clWorkers,
-			Dir:              *storeDir,
-			SegmentBytes:     *segBytes,
-			PatchMaxFraction: *incrPatch,
-			Tracer:           obs.Multi(tracers...),
+			Base:         g,
+			Detector:     detector,
+			Shards:       *clShards,
+			Workers:      *clWorkers,
+			Dir:          *storeDir,
+			SegmentBytes: *segBytes,
+			Tracer:       obs.Multi(tracers...),
 		})
 		if err != nil {
 			return fail("building cluster: %v", err)
@@ -232,9 +221,6 @@ func run() int {
 		fmt.Printf("cluster backend: %d shards on %d workers under %s\n",
 			*clShards, workers, *storeDir)
 	} else if *storeDir != "" {
-		if *journal != "" {
-			return fail("-journal and -store-dir are mutually exclusive")
-		}
 		store, err = storage.Open(storage.Options{
 			Dir:          *storeDir,
 			SegmentBytes: *segBytes,
@@ -252,13 +238,10 @@ func run() int {
 		Detector:         detector,
 		DetectEvery:      *detectEvery,
 		QueueSize:        *queueSize,
-		JournalPath:      *journal,
 		Store:            store,
 		Backend:          backend,
 		SnapshotEvery:    *snapEvery,
 		Tracer:           obs.Multi(tracers...),
-		Incremental:      *incremental,
-		PatchMaxFraction: *incrPatch,
 		DisableWarmStart: *noWarm,
 		Score: score.Options{
 			DenyThreshold:     *scoreDeny,
@@ -270,11 +253,7 @@ func run() int {
 		return fail("%v", err)
 	}
 	if ep := srv.CurrentEpoch(); ep.Events > 0 {
-		source := *journal
-		if *storeDir != "" {
-			source = *storeDir
-		}
-		fmt.Printf("recovered %d answered requests from %s\n", ep.Events, source)
+		fmt.Printf("recovered %d answered requests from %s\n", ep.Events, *storeDir)
 	}
 
 	ln, err := net.Listen("tcp", *listen)

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -20,15 +20,16 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/server"
+	"repro/internal/storage"
 )
 
-// buildBinary compiles rejectod once per test run.
-func buildBinary(t *testing.T) string {
+// buildBinary compiles rejectod (pkg ".") or a sibling command.
+func buildBinary(t *testing.T, pkg string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "rejectod")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
+	bin := filepath.Join(t.TempDir(), "bin")
+	cmd := exec.Command("go", "build", "-o", bin, pkg)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building rejectod: %v\n%s", err, out)
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -142,6 +143,36 @@ func (d *daemon) terminate(t *testing.T) int {
 
 func (d *daemon) url(path string) string { return "http://" + d.addr + path }
 
+// daemonStats is the slice of GET /v1/stats the e2e tests synchronize on.
+type daemonStats struct {
+	EventsIngested int64 `json:"events_ingested"`
+	QueueDepth     int   `json:"queue_depth"`
+	DetectInflight bool  `json:"detect_inflight"`
+}
+
+// waitStats polls /v1/stats until cond holds.
+func (d *daemon) waitStats(t *testing.T, what string, cond func(daemonStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(d.url("/v1/stats"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st daemonStats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cond(st) {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s; output:\n%s", what, d.outputString())
+}
+
 func postBody(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
@@ -153,16 +184,17 @@ func postBody(t *testing.T, url string, body []byte) *http.Response {
 
 // TestGracefulShutdownExitsZero is the happy-path e2e: ingest a workload over
 // HTTP, run a detection, SIGTERM — the daemon drains, flushes its journal and
-// trace, and exits 0; the journal then replays to the served suspect sets.
+// trace, and exits 0; `rejecto -requests <store-dir>` then replays the
+// journal to the served suspect sets.
 func TestGracefulShutdownExitsZero(t *testing.T) {
-	bin := buildBinary(t)
+	bin := buildBinary(t, ".")
 	dir := t.TempDir()
 	base := writeBaseGraph(t, dir, 60)
-	journal := filepath.Join(dir, "events.log")
+	storeDir := filepath.Join(dir, "data")
 	trace := filepath.Join(dir, "run.jsonl")
 
 	d := startDaemon(t, bin, "-graph", base, "-threshold", "0.5", "-seed", "3",
-		"-journal", journal, "-trace", trace)
+		"-store-dir", storeDir, "-trace", trace)
 
 	var events []server.Event
 	for i := 0; i < 30; i++ {
@@ -185,6 +217,10 @@ func TestGracefulShutdownExitsZero(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/events = %d", resp.StatusCode)
 	}
+	// The 202 acks the enqueue; wait for the fold before cutting an epoch.
+	d.waitStats(t, "ingest to drain", func(st daemonStats) bool {
+		return st.EventsIngested == int64(len(events)) && st.QueueDepth == 0
+	})
 
 	resp = postBody(t, d.url("/v1/detect"), []byte("{}"))
 	var ep struct {
@@ -192,6 +228,7 @@ func TestGracefulShutdownExitsZero(t *testing.T) {
 		Events    int   `json:"events"`
 		Intervals []struct {
 			Interval int            `json:"interval"`
+			Rounds   int            `json:"rounds"`
 			Suspects []graph.NodeID `json:"suspects"`
 		} `json:"intervals"`
 	}
@@ -210,33 +247,23 @@ func TestGracefulShutdownExitsZero(t *testing.T) {
 		t.Fatalf("missing drain confirmation; output:\n%s", d.outputString())
 	}
 
-	// The flushed journal replays to the suspect sets the daemon served.
-	logged, err := graphio.ReadRequestsFile(journal)
+	// The batch CLI replays the store directory to the suspect sets the
+	// daemon served.
+	out, err := exec.Command(buildBinary(t, "../rejecto"), "-graph", base, "-requests", storeDir,
+		"-threshold", "0.5", "-seed", "3").CombinedOutput()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rejecto -requests %s: %v\n%s", storeDir, err, out)
 	}
-	if want := server.EventsToRequests(events); !reflect.DeepEqual(logged, want) {
-		t.Fatalf("journal holds %d requests, want %d", len(logged), len(want))
-	}
-	g, err := graphio.ReadAny(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := core.DetectSharded(g, logged, core.DetectorOptions{
-		Cut:                 core.CutOptions{RandSeed: 3},
-		AcceptanceThreshold: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(ep.Intervals) {
-		t.Fatalf("batch replay found %d intervals, daemon served %d", len(batch), len(ep.Intervals))
-	}
-	for i := range batch {
-		if !reflect.DeepEqual(batch[i].Detection.Suspects, ep.Intervals[i].Suspects) {
-			t.Fatalf("interval %d: batch replay suspects %v, daemon served %v",
-				batch[i].Interval, batch[i].Detection.Suspects, ep.Intervals[i].Suspects)
+	var want strings.Builder
+	fmt.Fprintf(&want, "loaded %d timed requests from %s\n", len(events)/2, storeDir)
+	for _, iv := range ep.Intervals {
+		fmt.Fprintf(&want, "interval %d: %d suspects in %d round(s)\n", iv.Interval, len(iv.Suspects), iv.Rounds)
+		for _, u := range iv.Suspects {
+			fmt.Fprintf(&want, "  %d\n", u)
 		}
+	}
+	if !strings.HasSuffix(string(out), want.String()) {
+		t.Fatalf("batch replay of the store directory printed:\n%s\nwant it to end with the daemon's epoch:\n%s", out, want.String())
 	}
 
 	// The trace must be valid JSONL with at least one sweep event.
@@ -263,61 +290,46 @@ func TestGracefulShutdownExitsZero(t *testing.T) {
 // interrupt it between rounds, still drain, and exit 130 — the same
 // convention as cmd/rejecto.
 func TestInterruptedDetectionExits130(t *testing.T) {
-	bin := buildBinary(t)
+	bin := buildBinary(t, ".")
 	dir := t.TempDir()
 	base := writeBaseGraph(t, dir, 80)
 
 	// Pre-write a journal with enough rejection-bearing intervals that a
 	// detection over it takes long enough to be caught in flight.
-	journal := filepath.Join(dir, "events.log")
-	var reqs []core.TimedRequest
+	storeDir := filepath.Join(dir, "data")
+	st, err := storage.Open(storage.Options{Dir: storeDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
 	for iv := 0; iv < 2000; iv++ {
 		for k := 0; k < 10; k++ {
-			reqs = append(reqs, core.TimedRequest{
+			err := st.Append(core.TimedRequest{
 				From:     graph.NodeID(k),
 				To:       graph.NodeID(20 + (iv+k*7)%60),
 				Accepted: false,
 				Interval: iv,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := graphio.WriteRequestsFile(journal, reqs); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Periodic detection (rather than POST /v1/detect) so no HTTP request
 	// hangs on the running detection during shutdown.
 	d := startDaemon(t, bin, "-graph", base, "-threshold", "0.5", "-seed", "3",
-		"-journal", journal, "-detect-every", "50ms")
+		"-store-dir", storeDir, "-detect-every", "50ms")
 	if !strings.Contains(d.outputString(), "recovered") {
 		t.Fatalf("daemon did not recover the journal; output:\n%s", d.outputString())
 	}
 
-	// Wait until a detection is genuinely in flight.
-	deadline := time.Now().Add(30 * time.Second)
-	inflight := false
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(d.url("/v1/stats"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			DetectInflight bool `json:"detect_inflight"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.DetectInflight {
-			inflight = true
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !inflight {
-		t.Fatalf("no detection went in flight; output:\n%s", d.outputString())
-	}
+	d.waitStats(t, "a detection to go in flight", func(st daemonStats) bool { return st.DetectInflight })
 
 	if code := d.terminate(t); code != 130 {
 		t.Fatalf("interrupted shutdown exited %d, want 130; output:\n%s", code, d.outputString())

@@ -129,7 +129,7 @@ func New(cfg Config) (*Game, error) {
 	// DisableWarm pins every epoch to the cold DetectSharded suspect sets:
 	// matrix cells must reflect detection quality, not warm-start
 	// heuristics, and cold solves are byte-reproducible against the
-	// non-incremental path.
+	// core.DetectSharded oracle.
 	engine, err := incr.NewEngine(incr.Config{
 		Base:        cfg.Base.Clone(),
 		Detector:    cfg.Detector,

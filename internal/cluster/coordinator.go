@@ -47,10 +47,6 @@ type Config struct {
 	// storage default).
 	SegmentBytes int64
 
-	// PatchMaxFraction is each shard engine's cold-rebuild threshold
-	// (0 = incr.DefaultMaxPatchFraction).
-	PatchMaxFraction float64
-
 	// Retry is the RPC retry policy (zero fields defaulted).
 	Retry dist.RetryPolicy
 
@@ -134,12 +130,12 @@ type Stats struct {
 // Lifecycle: New, Recover exactly once, then Append/Flush/Detect, then
 // Close.
 type Coordinator struct {
-	cfg     Config
-	nodeCfg nodeConfig
-	workers []*dist.Worker
-	cl      *dist.Cluster
-	home    []int   // shard → worker
-	shardsOn [][]int // worker → shards
+	cfg       Config
+	nodeCfg   nodeConfig
+	workers   []*dist.Worker
+	cl        *dist.Cluster
+	home      []int        // shard → worker
+	shardsOn  [][]int      // worker → shards
 	rebuildMu []sync.Mutex // per worker: serializes lineage replays
 
 	mu        sync.Mutex
@@ -195,7 +191,6 @@ func New(cfg Config) (*Coordinator, error) {
 			base: &coordBase{
 				graph:    cfg.Base,
 				detector: det,
-				patchMax: cfg.PatchMaxFraction,
 			},
 			dir:      cfg.Dir,
 			segBytes: cfg.SegmentBytes,

@@ -125,7 +125,6 @@ type nodeConfig struct {
 type coordBase struct {
 	graph    *graph.Graph
 	detector core.DetectorOptions
-	patchMax float64
 }
 
 // node is one worker's shard service: the journal partitions and engines
@@ -215,11 +214,10 @@ func (n *node) open(args *OpenArgs, reply *OpenReply) error {
 		return stateLost("recovering shard %d: %v", args.Shard, err)
 	}
 	eng, err := incr.NewEngine(incr.Config{
-		Base:             n.cfg.base.graph,
-		Detector:         n.cfg.base.detector,
-		MaxPatchFraction: n.cfg.base.patchMax,
-		DisableWarm:      true, // rebuilt engines must replay to identical bytes
-		Tracer:           n.cfg.tracer,
+		Base:        n.cfg.base.graph,
+		Detector:    n.cfg.base.detector,
+		DisableWarm: true, // rebuilt engines must replay to identical bytes
+		Tracer:      n.cfg.tracer,
 	})
 	if err != nil {
 		st.Close()

@@ -14,69 +14,30 @@ import (
 )
 
 // Request-log text format, consumed by the §VII sharded deployment
-// (core.DetectSharded and `rejecto -requests`) and written as the
-// append-only event journal of the rejectod service (internal/server):
+// (core.DetectSharded and `rejecto -requests`):
 //
 //	# comment
 //	<interval> <from> <to> <accepted: 0|1>
 //
 // one line per answered friend request, whitespace-separated.
 
-// A JournalWriter appends answered friend requests to a request log one at
-// a time — the incremental counterpart of WriteRequests, used by the
-// rejectod service to journal each ingested event. Writes are buffered;
-// callers own flush policy via Flush. A JournalWriter is not safe for
-// concurrent use.
-type JournalWriter struct {
-	bw *bufio.Writer
-}
-
-// NewJournalWriter returns a JournalWriter appending to w. No header is
-// written: call WriteHeader when starting a fresh log (a log opened for
-// append already has one).
-func NewJournalWriter(w io.Writer) *JournalWriter {
-	return &JournalWriter{bw: bufio.NewWriter(w)}
-}
-
-// WriteHeader writes the log's comment header.
-func (jw *JournalWriter) WriteHeader() error {
-	_, err := fmt.Fprintln(jw.bw, "# interval from to accepted")
-	return err
-}
-
-// Append writes one answered request.
-func (jw *JournalWriter) Append(req core.TimedRequest) error {
-	accepted := 0
-	if req.Accepted {
-		accepted = 1
-	}
-	_, err := fmt.Fprintf(jw.bw, "%d %d %d %d\n", req.Interval, req.From, req.To, accepted)
-	return err
-}
-
-// Flush writes buffered log lines to the underlying writer.
-func (jw *JournalWriter) Flush() error { return jw.bw.Flush() }
-
 // WriteRequests serializes a request log.
 func WriteRequests(w io.Writer, reqs []core.TimedRequest) error {
-	jw := NewJournalWriter(w)
-	if err := jw.WriteHeader(); err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "# interval from to accepted")
 	for _, req := range reqs {
-		if err := jw.Append(req); err != nil {
-			return err
+		accepted := 0
+		if req.Accepted {
+			accepted = 1
 		}
+		fmt.Fprintf(bw, "%d %d %d %d\n", req.Interval, req.From, req.To, accepted)
 	}
-	return jw.Flush()
+	return bw.Flush() // bufio errors are sticky: Flush reports the first
 }
 
 // ScanRequests parses a request log as a stream, calling apply once per
-// answered request in log order. Unlike ReadRequests it never materializes
-// the whole log: the rejectod recovery path folds each record into server
-// state as it is parsed, so restart memory tracks server state instead of
-// server state plus a second full copy of the journal. A non-nil error from
-// apply aborts the scan and is returned verbatim.
+// answered request in log order, without materializing the whole log. A
+// non-nil error from apply aborts the scan and is returned verbatim.
 func ScanRequests(r io.Reader, apply func(core.TimedRequest) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

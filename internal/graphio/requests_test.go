@@ -3,8 +3,6 @@ package graphio
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
 func TestReadRequestsBounds(t *testing.T) {
@@ -26,58 +24,5 @@ func TestReadRequestsBounds(t *testing.T) {
 	}
 	if reqs[0].From != 2147483647 {
 		t.Fatalf("From = %d, want 2147483647", reqs[0].From)
-	}
-}
-
-func TestJournalWriterMatchesWriteRequests(t *testing.T) {
-	reqs := []core.TimedRequest{
-		{Interval: 0, From: 1, To: 2, Accepted: true},
-		{Interval: 0, From: 3, To: 2, Accepted: false},
-		{Interval: 2, From: 0, To: 4, Accepted: false},
-	}
-	var batch strings.Builder
-	if err := WriteRequests(&batch, reqs); err != nil {
-		t.Fatal(err)
-	}
-
-	var inc strings.Builder
-	jw := NewJournalWriter(&inc)
-	if err := jw.WriteHeader(); err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range reqs {
-		if err := jw.Append(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if inc.String() != batch.String() {
-		t.Fatalf("incremental journal differs from batch WriteRequests:\n%q\nvs\n%q", inc.String(), batch.String())
-	}
-}
-
-func TestJournalWriterAppendAfterRecovery(t *testing.T) {
-	// A journal resumed after recovery (header already on disk) continues
-	// the same parseable log.
-	first := []core.TimedRequest{{Interval: 0, From: 1, To: 2, Accepted: false}}
-	var log strings.Builder
-	if err := WriteRequests(&log, first); err != nil {
-		t.Fatal(err)
-	}
-	jw := NewJournalWriter(&log)
-	if err := jw.Append(core.TimedRequest{Interval: 1, From: 2, To: 3, Accepted: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequests(strings.NewReader(log.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != first[0] || got[1].To != 3 {
-		t.Fatalf("resumed journal parsed as %+v", got)
 	}
 }

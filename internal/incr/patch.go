@@ -19,16 +19,13 @@ func Patch(prev *graph.Frozen, d Delta) *graph.Frozen {
 	return prev.SpliceCanonical(d.NewNodes, friendships, rejections)
 }
 
-// ShouldPatch reports whether d is small enough, relative to prev, to
-// splice rather than rebuild cold. maxFraction ≤ 0 means
-// DefaultMaxPatchFraction. A nil prev always rebuilds.
-func ShouldPatch(prev *graph.Frozen, d Delta, maxFraction float64) bool {
+// ShouldPatch reports whether d is small enough, relative to prev
+// (DefaultMaxPatchFraction of its edges), to splice rather than rebuild
+// cold. A nil prev always rebuilds.
+func ShouldPatch(prev *graph.Frozen, d Delta) bool {
 	if prev == nil {
 		return false
 	}
-	if maxFraction <= 0 {
-		maxFraction = DefaultMaxPatchFraction
-	}
 	existing := prev.NumFriendships() + prev.NumRejections()
-	return float64(d.EdgeCount()) <= maxFraction*float64(existing)
+	return float64(d.EdgeCount()) <= DefaultMaxPatchFraction*float64(existing)
 }

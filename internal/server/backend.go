@@ -2,12 +2,13 @@ package server
 
 import "repro/internal/core"
 
-// Backend is the pluggable ingest/journal/detection engine behind a
-// Server. The stock server owns those three concerns itself (event fold +
-// storage.Store journal + core/incr detection); a Backend bundles them
-// into one replaceable unit so a differently-shaped engine — the
-// multi-node coordinator in internal/cluster — can sit under the same
-// HTTP surface, epoch read model, and real-time scorer.
+// Backend is the pluggable journal/detection engine behind a Server. The
+// stock server journals to a storage.Store and detects with its own
+// incr.Engine; a Backend bundles the two into one replaceable unit so a
+// differently-shaped engine — the multi-node coordinator in
+// internal/cluster — can sit under the same HTTP surface, ingest fold,
+// epoch read model, and real-time scorer. The server treats the two alike
+// except for who answers Recover, Detect, Mode and Stats.
 //
 // Call discipline mirrors the server's goroutine model: Recover is called
 // once during New (before the loops start); Append and Flush only from
@@ -28,7 +29,9 @@ type Backend interface {
 	Append(req core.TimedRequest) error
 
 	// Flush makes every appended record durable — called at the server's
-	// quiet points and during shutdown drain.
+	// quiet points and during shutdown drain. The first Append or Flush
+	// error stops ingest: no further Append or Flush follows it, and no
+	// epoch is published past it.
 	Flush() error
 
 	// Detect runs a detection over the first events appended records

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -39,11 +38,9 @@ func chaosDistributedMatchesServerEpoch(t *testing.T, multilevel bool) {
 		cfg.Detector.Cut.Multilevel = multilevel
 	})
 	postEvents(t, ts.URL, events)
+	drainIngest(t, s)
 
-	ep, err := s.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := detectNow(t, s)
 	if len(ep.Intervals) == 0 {
 		t.Fatal("epoch carries no interval detections")
 	}

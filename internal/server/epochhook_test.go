@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -32,10 +31,8 @@ func TestEpochHookObservesPublishes(t *testing.T) {
 
 	r := rand.New(rand.NewPCG(1, 91))
 	postEvents(t, ts.URL, spamWorkload(r, n, spammers))
-	ep, err := s.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	drainIngest(t, s)
+	ep := detectNow(t, s)
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -19,7 +20,8 @@ const maxEventBody = 8 << 20
 // routes assembles the service API:
 //
 //	POST /v1/events      ingest lifecycle events (object or array); 202 on
-//	                     enqueue, 429 + Retry-After on a full queue
+//	                     enqueue, 429 + Retry-After on a full queue, 503
+//	                     once the journal has failed
 //	POST /v1/detect      run a detection now; responds when it completes
 //	GET  /v1/suspects    per-interval suspect sets of the last epoch
 //	GET  /v1/users/{id}  per-user stats + suspect status (memoized)
@@ -80,6 +82,10 @@ type ingestReply struct {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { obs.IngestLatency.Observe(time.Since(start)) }()
+	if err := s.journalFailure(); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxEventBody))
 	if err != nil {
 		obs.Server.EventsRejected.Add(1)
@@ -164,6 +170,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == ErrShuttingDown:
 		writeError(w, http.StatusServiceUnavailable, "shutting down")
+	case errors.Is(err, errJournal):
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil && ep == nil:
 		writeError(w, http.StatusInternalServerError, "detection: %v", err)
 	default:
@@ -231,7 +239,7 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// incrStatsReply breaks down the last incremental detection: how each
+// incrStatsReply breaks down the local engine's last detection: how each
 // interval's snapshot was produced, how the warm starts fared, and where
 // the wall-clock went.
 type incrStatsReply struct {
@@ -277,6 +285,7 @@ type statsReply struct {
 	EventsIngested int64              `json:"events_ingested"`
 	EventsRejected int64              `json:"events_rejected"`
 	JournalEvents  int64              `json:"journal_events"`
+	JournalError   string             `json:"journal_error,omitempty"`
 	Backpressure   int64              `json:"backpressure_429s"`
 	DetectEpochs   int64              `json:"detect_epochs"`
 	DetectInflight bool               `json:"detect_inflight"`
@@ -287,14 +296,18 @@ type statsReply struct {
 	Incr           *incrStatsReply    `json:"incremental,omitempty"`
 	Storage        *storageStatsReply `json:"storage,omitempty"`
 	// Backend is the pluggable backend's own stats (a cluster.Stats for
-	// the multi-node coordinator), present only when one is configured.
+	// the multi-node coordinator), present instead of Incr and Storage
+	// when one is configured.
 	Backend any `json:"backend,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ep := s.epoch.Load()
 	hits, misses := s.users.Stats()
-	mode := s.mode()
+	var journalError string
+	if err := s.journalFailure(); err != nil {
+		journalError = err.Error()
+	}
 	var backendStats any
 	if s.backend != nil {
 		backendStats = s.backend.Stats()
@@ -321,7 +334,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, statsReply{
-		Mode:           mode,
+		Mode:           s.mode(),
 		Epoch:          ep.Seq,
 		EpochEvents:    ep.Events,
 		QueueDepth:     len(s.queue),
@@ -329,6 +342,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EventsIngested: obs.Server.EventsIngested.Value(),
 		EventsRejected: obs.Server.EventsRejected.Value(),
 		JournalEvents:  obs.Server.JournalEvents.Value(),
+		JournalError:   journalError,
 		Backpressure:   obs.Server.Backpressure429.Value(),
 		DetectEpochs:   obs.Server.DetectEpochs.Value(),
 		DetectInflight: obs.Server.DetectInflight.Value() == 1,

@@ -2,41 +2,21 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/graphio"
 )
-
-// drainIngest waits for the ingest queue to empty. The ingest loop finishes
-// applying a dequeued event before serving its next channel operation, so
-// once the queue is observed empty any subsequent snapshot covers every
-// posted event. (Polling through snapReq would work for batch mode but
-// steals the incremental delta accumulator, so incremental tests must not.)
-func drainIngest(t *testing.T, s *Server) {
-	t.Helper()
-	waitFor(t, 10*time.Second, "ingest to drain", func() bool {
-		return len(s.queue) == 0
-	})
-}
-
-// detectNow runs a detection and fails the test on error.
-func detectNow(t *testing.T, s *Server) *Epoch {
-	t.Helper()
-	ep, err := s.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ep
-}
 
 // splitPairs cuts an event log into `parts` contiguous chunks on pair
 // boundaries (spamWorkload emits each answered request as an adjacent
@@ -52,83 +32,188 @@ func splitPairs(events []Event, parts int) [][]Event {
 	return out
 }
 
-// TestIncrementalMatchesBatchExactly feeds the same journal, in the same
-// batches, to a batch-mode server and an incremental server with warm
-// starting disabled. Every epoch must agree byte for byte: identical
-// per-interval detections AND an identical frozen read model — the
-// replay-invariant extended across patched snapshots.
+// servingRow is one cell of the configuration matrix a rejectod can be
+// booted in: detector × journal × backend. The coordinator owns its shard
+// journals, so there is no memory × cluster cell.
+type servingRow struct {
+	name       string
+	multilevel bool
+	durable    bool // segmented journal (+ SnapshotEvery locally), restarted over a torn tail
+	cluster    bool // 4-shard/2-worker coordinator as Config.Backend
+}
+
+var servingMatrix = []servingRow{
+	{"flat/memory/local", false, false, false},
+	{"ml/memory/local", true, false, false},
+	{"flat/segmented/local", false, true, false},
+	{"ml/segmented/local", true, true, false}, // the benchmark's single-node SUT
+	{"flat/segmented/cluster", false, true, true},
+	{"ml/segmented/cluster", true, true, true}, // the benchmark's sharded SUT
+}
+
+func (r servingRow) opts() core.DetectorOptions {
+	opts := testDetectorOptions()
+	opts.Cut.Multilevel = r.multilevel
+	return opts
+}
+
+// boot starts one server life of the row over dir.
+func (r servingRow) boot(t *testing.T, base *graph.Graph, dir string, warm bool) (*Server, *httptest.Server) {
+	return newTestServer(t, base, func(cfg *Config) {
+		cfg.Detector = r.opts()
+		cfg.DisableWarmStart = !warm
+		switch {
+		case r.cluster:
+			cfg.Backend = newClusterCoord(t, base, r.opts(), 4, 2, dir)
+		case r.durable:
+			cfg.Store = openSegmented(t, dir)
+			cfg.SnapshotEvery = 80
+		}
+	})
+}
+
+// crash leaves the row's journal the way a crash mid-append would: junk
+// on the tail of a live segment (the low-ID spammers' home shard in
+// cluster rows).
+func (r servingRow) crash(t *testing.T, dir string) {
+	if r.cluster {
+		dir = filepath.Join(dir, "shard-000")
+	}
+	tearLiveSegment(t, dir, 7)
+}
+
+// TestIncrementalMatchesBatchExactly is the replay invariant over every
+// configuration that ships: with warm starting off, every published epoch
+// — live, after a restart over a torn tail, and after a second clean
+// restart — equals the cold batch engine over the same journal prefix,
+// detections and frozen read model both.
 func TestIncrementalMatchesBatchExactly(t *testing.T) {
 	const n, spammers = 150, 20
-	r := rand.New(rand.NewPCG(17, 5))
-	events := spamWorkload(r, n, spammers)
+	for _, row := range servingMatrix {
+		t.Run(row.name, func(t *testing.T) {
+			events := spamWorkload(rand.New(rand.NewPCG(17, 5)), n, spammers)
+			chunks := splitPairs(events, 4)
+			base, opts, dir := testBase(n), row.opts(), t.TempDir()
 
-	batchS, batchTS := newTestServer(t, testBase(n), nil)
-	incrS, incrTS := newTestServer(t, testBase(n), func(cfg *Config) {
-		cfg.Incremental = true
-		cfg.DisableWarmStart = true
-	})
+			s, ts := row.boot(t, base, dir, false)
+			var posted []Event
+			for round, chunk := range chunks[:3] {
+				postEvents(t, ts.URL, chunk)
+				posted = append(posted, chunk...)
+				drainIngest(t, s)
+				assertEpochMatchesReplay(t, fmt.Sprintf("round %d", round),
+					detectNow(t, s), base, EventsToRequests(posted), opts)
+			}
 
-	for round, chunk := range splitPairs(events, 3) {
-		postEvents(t, batchTS.URL, chunk)
-		postEvents(t, incrTS.URL, chunk)
-		drainIngest(t, batchS)
-		drainIngest(t, incrS)
+			// /v1/stats names who answered: the local engine and store, or
+			// the backend — never both, never "batch".
+			var stats statsReply
+			getJSON(t, ts.URL+"/v1/stats", &stats)
+			wantMode := "incremental"
+			if row.cluster {
+				wantMode = "cluster"
+			}
+			if stats.Mode != wantMode {
+				t.Fatalf("stats mode = %q, want %q", stats.Mode, wantMode)
+			}
+			if (stats.Incr != nil) == row.cluster || (stats.Backend != nil) != row.cluster {
+				t.Fatalf("stats blocks: incremental=%v backend=%v with cluster=%v", stats.Incr, stats.Backend, row.cluster)
+			}
+			if (stats.Storage != nil) != (row.durable && !row.cluster) {
+				t.Fatalf("stats storage block = %+v with durable=%v cluster=%v", stats.Storage, row.durable, row.cluster)
+			}
+			if row.cluster {
+				var cs cluster.Stats
+				remarshal(t, stats.Backend, &cs)
+				if cs.Shards != 4 || cs.Workers != 2 {
+					t.Fatalf("coordinator stats = %d shards / %d workers", cs.Shards, cs.Workers)
+				}
+				if cs.Records == 0 || cs.Boundary == 0 {
+					t.Fatalf("coordinator routed %d records, %d boundary — workload did not exercise routing", cs.Records, cs.Boundary)
+				}
+			} else if stats.Incr.Patched+stats.Incr.ColdBuilt+stats.Incr.Reused == 0 {
+				t.Fatalf("incremental stats show no interval work: %+v", *stats.Incr)
+			}
+			if !row.durable {
+				return
+			}
 
-		want := detectNow(t, batchS)
-		got := detectNow(t, incrS)
-		if want.Events != got.Events {
-			t.Fatalf("round %d: batch epoch covers %d events, incremental %d", round, want.Events, got.Events)
-		}
-		if !reflect.DeepEqual(want.Intervals, got.Intervals) {
-			t.Fatalf("round %d: incremental detections diverge from batch:\n got %+v\nwant %+v",
-				round, got.Intervals, want.Intervals)
-		}
-		if !want.frozen.Equal(got.frozen) {
-			t.Fatalf("round %d: incremental read model is not byte-identical to the batch fold", round)
-		}
-	}
+			// The last chunk is journaled but never detected, so the restart
+			// has a tail past the snapshot to replay.
+			postEvents(t, ts.URL, chunks[3])
+			wantReqs := EventsToRequests(events)
+			drainIngest(t, s)
+			if !row.cluster {
+				getJSON(t, ts.URL+"/v1/stats", &stats)
+				if st := stats.Storage; st.Backend != "segmented" || st.Snapshots == 0 || st.CompactedSegments == 0 || st.Records != int64(len(wantReqs)) {
+					t.Fatalf("first life's storage block: %+v (want %d records, snapshots, compaction)", *st, len(wantReqs))
+				}
+			}
+			stopServer(t, s, ts)
+			if !row.cluster {
+				if got := readJournal(t, dir); !reflect.DeepEqual(got, wantReqs) {
+					t.Fatalf("journal holds %d requests, lifecycle fold yields %d (or order differs)", len(got), len(wantReqs))
+				}
+			}
 
-	// The wiring must actually have gone through the incremental path.
-	var stats statsReply
-	getJSON(t, incrTS.URL+"/v1/stats", &stats)
-	if stats.Mode != "incremental" {
-		t.Fatalf("stats mode = %q, want incremental", stats.Mode)
-	}
-	if stats.Incr == nil {
-		t.Fatal("stats carry no incremental breakdown after incremental detections")
-	}
-	if stats.Incr.Patched+stats.Incr.ColdBuilt+stats.Incr.Reused == 0 {
-		t.Fatalf("incremental stats show no interval work: %+v", *stats.Incr)
-	}
-	var batchStats statsReply
-	getJSON(t, batchTS.URL+"/v1/stats", &batchStats)
-	if batchStats.Mode != "batch" || batchStats.Incr != nil {
-		t.Fatalf("batch server reports mode=%q incr=%v", batchStats.Mode, batchStats.Incr)
+			// Second life: recovery truncates the junk, loads the snapshot,
+			// and replays only the tail.
+			row.crash(t, dir)
+			s, ts = row.boot(t, base, dir, false)
+			if got := s.CurrentEpoch().Events; got != len(wantReqs) {
+				t.Fatalf("recovered %d events, want %d", got, len(wantReqs))
+			}
+			if !row.cluster {
+				getJSON(t, ts.URL+"/v1/stats", &stats)
+				st := stats.Storage
+				if st.TornBytesTruncated != 7 {
+					t.Fatalf("recovery truncated %d torn bytes, want 7", st.TornBytesTruncated)
+				}
+				if st.RecoveredFromSnap+st.RecoveredFromSegs != len(wantReqs) {
+					t.Fatalf("recovery found %d+%d records, want %d", st.RecoveredFromSnap, st.RecoveredFromSegs, len(wantReqs))
+				}
+				if st.RecoveredFromSegs == 0 || st.RecoveredFromSegs >= st.RecoveredFromSnap {
+					t.Fatalf("replayed %d records from segments vs %d from the snapshot; restart is not O(delta)",
+						st.RecoveredFromSegs, st.RecoveredFromSnap)
+				}
+			}
+			assertEpochMatchesReplay(t, "after crash restart", detectNow(t, s), base, wantReqs, opts)
+
+			// Third life, no damage: the journal survives repeated restarts.
+			stopServer(t, s, ts)
+			s, _ = row.boot(t, base, dir, false)
+			assertEpochMatchesReplay(t, "after clean restart", detectNow(t, s), base, wantReqs, opts)
+		})
 	}
 }
 
-// TestIncrementalWarmMatchesBatchSuspects runs the incremental server with
-// warm starting ON. A gated warm solve may converge to a different
-// near-minimal cut than the cold sweep (it only guarantees
-// equal-or-better acceptance), so the invariant checked here is detection
-// quality, not set identity: every epoch detects the same intervals,
-// catches the planted spammers at batch-mode recall with bounded
-// spill-over, and the frozen read model — which warm starting must never
-// touch — stays byte-identical. At least one warm start must actually
-// engage by the second epoch.
+// remarshal decodes a value JSON left as generic maps into out.
+func remarshal(t *testing.T, v, out any) {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err == nil {
+		err = json.Unmarshal(b, out)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIncrementalWarmMatchesBatchSuspects runs every local row with warm
+// starting ON (cluster shards always solve cold). A gated warm solve may
+// converge to a different near-minimal cut than the cold sweep (it only
+// guarantees equal-or-better acceptance), so the invariant checked here is
+// detection quality, not set identity: every epoch detects the same
+// intervals as the cold batch engine, catches the planted spammers at its
+// recall with bounded spill-over, and the frozen read model — which warm
+// starting must never touch — stays byte-identical. Durable rows crash and
+// restart mid-stream, resuming from the snapshot's engine memo. At least
+// one warm start must actually engage.
 func TestIncrementalWarmMatchesBatchSuspects(t *testing.T) {
 	const n, spammers = 150, 20
-	r := rand.New(rand.NewPCG(21, 8))
-	events := spamWorkload(r, n, spammers)
-
-	batchS, batchTS := newTestServer(t, testBase(n), nil)
-	incrS, incrTS := newTestServer(t, testBase(n), func(cfg *Config) {
-		cfg.Incremental = true
-	})
-
 	// recall/size of the spam interval's suspect set vs the planted nodes.
-	spamQuality := func(ep *Epoch) (recall float64, size int) {
-		for _, d := range ep.Intervals {
+	spamQuality := func(dets []core.IntervalDetection) (recall float64, size int) {
+		for _, d := range dets {
 			if d.Interval != 1 {
 				continue
 			}
@@ -142,44 +227,61 @@ func TestIncrementalWarmMatchesBatchSuspects(t *testing.T) {
 		}
 		return 0, 0
 	}
+	for _, row := range servingMatrix {
+		if row.cluster {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			events := spamWorkload(rand.New(rand.NewPCG(21, 8)), n, spammers)
+			base, dir := testBase(n), t.TempDir()
+			s, ts := row.boot(t, base, dir, true)
 
-	warmSeen := 0
-	for round, chunk := range splitPairs(events, 3) {
-		postEvents(t, batchTS.URL, chunk)
-		postEvents(t, incrTS.URL, chunk)
-		drainIngest(t, batchS)
-		drainIngest(t, incrS)
+			warmSeen := 0
+			var posted []Event
+			for round, chunk := range splitPairs(events, 3) {
+				postEvents(t, ts.URL, chunk)
+				posted = append(posted, chunk...)
+				drainIngest(t, s)
+				got := detectNow(t, s)
 
-		want := detectNow(t, batchS)
-		got := detectNow(t, incrS)
-		if len(want.Intervals) != len(got.Intervals) {
-			t.Fatalf("round %d: %d intervals warm vs %d batch", round, len(got.Intervals), len(want.Intervals))
-		}
-		for i := range want.Intervals {
-			if want.Intervals[i].Interval != got.Intervals[i].Interval {
-				t.Fatalf("round %d: warm detected interval %d where batch detected %d",
-					round, got.Intervals[i].Interval, want.Intervals[i].Interval)
+				reqs := EventsToRequests(posted)
+				want, err := core.DetectSharded(base, reqs, row.opts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) != len(got.Intervals) {
+					t.Fatalf("round %d: %d intervals warm vs %d batch", round, len(got.Intervals), len(want))
+				}
+				for i := range want {
+					if want[i].Interval != got.Intervals[i].Interval {
+						t.Fatalf("round %d: warm detected interval %d where batch detected %d",
+							round, got.Intervals[i].Interval, want[i].Interval)
+					}
+				}
+				if !got.frozen.Equal(coldFold(base, reqs)) {
+					t.Fatalf("round %d: read model diverged (warm starting must not affect it)", round)
+				}
+				if round == 2 { // full workload ingested: quality is comparable
+					wantRecall, _ := spamQuality(want)
+					gotRecall, gotSize := spamQuality(got.Intervals)
+					if gotRecall < wantRecall {
+						t.Errorf("warm recall %.2f below batch recall %.2f", gotRecall, wantRecall)
+					}
+					if gotSize > 3*spammers {
+						t.Errorf("warm suspect set bloated to %d nodes (planted %d)", gotSize, spammers)
+					}
+				}
+				warmSeen += s.incrStats.Load().WarmRounds
+				if row.durable && round == 1 {
+					stopServer(t, s, ts)
+					row.crash(t, dir)
+					s, ts = row.boot(t, base, dir, true)
+				}
 			}
-		}
-		if !want.frozen.Equal(got.frozen) {
-			t.Fatalf("round %d: read model diverged (warm starting must not affect it)", round)
-		}
-		if round == 2 { // full workload ingested: quality is comparable
-			wantRecall, _ := spamQuality(want)
-			gotRecall, gotSize := spamQuality(got)
-			if gotRecall < wantRecall {
-				t.Errorf("warm recall %.2f below batch recall %.2f", gotRecall, wantRecall)
+			if warmSeen == 0 {
+				t.Fatal("no warm-started rounds across three epochs — warm path never engaged")
 			}
-			if gotSize > 3*spammers {
-				t.Errorf("warm suspect set bloated to %d nodes (planted %d)", gotSize, spammers)
-			}
-		}
-		if st := incrS.incrStats.Load(); st != nil {
-			warmSeen += st.WarmRounds
-		}
-	}
-	if warmSeen == 0 {
-		t.Fatal("no warm-started rounds across three epochs — warm path never engaged")
+		})
 	}
 }
 
@@ -188,17 +290,15 @@ func TestIncrementalWarmMatchesBatchSuspects(t *testing.T) {
 // detections run mid-stream, then the final epoch must equal the batch
 // engine replayed over the journal the server actually wrote — whatever
 // interleaving the race chose. Run under -race this also exercises the
-// delta handoff for data races.
+// log handoff for data races.
 func TestIncrementalConcurrentIngestReplay(t *testing.T) {
 	const n, spammers, workers = 150, 20, 4
 	r := rand.New(rand.NewPCG(33, 7))
 	events := spamWorkload(r, n, spammers)
 
-	journal := t.TempDir() + "/journal.reqlog"
+	dir := t.TempDir()
 	s, ts := newTestServer(t, testBase(n), func(cfg *Config) {
-		cfg.Incremental = true
-		cfg.DisableWarmStart = true
-		cfg.JournalPath = journal
+		cfg.Store = openSegmented(t, dir)
 	})
 
 	// Partition by (from,to) pair so each pair's request→answer order is
@@ -219,7 +319,7 @@ func TestIncrementalConcurrentIngestReplay(t *testing.T) {
 		}(stream)
 	}
 	// Mid-stream detections race the ingest, stepping the engine over
-	// whatever delta prefix each snapshot catches.
+	// whatever journal prefix each snapshot catches.
 	for i := 0; i < 3; i++ {
 		if _, err := s.Detect(context.Background()); err != nil {
 			t.Error(err)
@@ -228,13 +328,9 @@ func TestIncrementalConcurrentIngestReplay(t *testing.T) {
 	wg.Wait()
 	drainIngest(t, s)
 	final := detectNow(t, s)
+	stopServer(t, s, ts)
 
-	// The final Detect's snapshot happens after the flush that emptied the
-	// queue, so the journal file is complete and readable.
-	reqs, err := graphio.ReadRequestsFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := readJournal(t, dir)
 	if final.Events != len(reqs) {
 		t.Fatalf("final epoch covers %d events, journal holds %d", final.Events, len(reqs))
 	}
@@ -286,45 +382,38 @@ func manyIntervalWorkload(r *rand.Rand, n, pairs int, interval int) []Event {
 	return events
 }
 
-// TestIncrementalDetectionAllocsSublinear: after priming both servers with
-// the same 10-interval journal, a detection over a 10-pair delta must not
-// allocate like the batch server's full re-fold — the server-level
-// regression guard that incremental mode keeps per-interval state alive
-// instead of rebuilding O(journal) memory each round.
+// TestIncrementalDetectionAllocsSublinear: after priming the server with a
+// 10-interval journal, a detection over a 10-pair delta must not allocate
+// like a cold batch replay of the whole journal — the server-level
+// regression guard that the engine keeps per-interval state alive instead
+// of rebuilding O(journal) memory each round.
 func TestIncrementalDetectionAllocsSublinear(t *testing.T) {
 	const n = 200
 	r := rand.New(rand.NewPCG(9, 101))
 	prime := manyIntervalWorkload(r, n, 1000, -1)
 	delta := manyIntervalWorkload(r, n, 10, 0)
 
-	mkcfg := func(incremental bool) func(*Config) {
-		return func(cfg *Config) {
-			cfg.Incremental = incremental
-			cfg.DisableWarmStart = true
-			cfg.Detector.Cut.Parallelism = 1
+	s, ts := newTestServer(t, testBase(n), func(cfg *Config) {
+		cfg.Detector.Cut.Parallelism = 1
+	})
+	opts := s.cfg.Detector
+	postEvents(t, ts.URL, prime)
+	drainIngest(t, s)
+	detectNow(t, s)
+	postEvents(t, ts.URL, delta)
+	drainIngest(t, s)
+
+	incrBytes := serverAllocBytes(func() { detectNow(t, s) })
+	batchBytes := serverAllocBytes(func() {
+		if _, err := Replay(testBase(n), append(prime, delta...), opts); err != nil {
+			t.Error(err)
 		}
-	}
-	batchS, batchTS := newTestServer(t, testBase(n), mkcfg(false))
-	incrS, incrTS := newTestServer(t, testBase(n), mkcfg(true))
-
-	for _, p := range []struct {
-		s  *Server
-		ts string
-	}{{batchS, batchTS.URL}, {incrS, incrTS.URL}} {
-		postEvents(t, p.ts, prime)
-		drainIngest(t, p.s)
-		detectNow(t, p.s)
-		postEvents(t, p.ts, delta)
-		drainIngest(t, p.s)
-	}
-
-	incrBytes := serverAllocBytes(func() { detectNow(t, incrS) })
-	batchBytes := serverAllocBytes(func() { detectNow(t, batchS) })
+	})
 	if 2*incrBytes >= batchBytes {
-		t.Fatalf("incremental detection allocated %d bytes vs batch %d — not sublinear in the journal",
+		t.Fatalf("incremental detection allocated %d bytes vs batch replay %d — not sublinear in the journal",
 			incrBytes, batchBytes)
 	}
-	t.Logf("alloc per detection: incremental %s, batch %s", fmtBytes(incrBytes), fmtBytes(batchBytes))
+	t.Logf("alloc per detection: incremental %s, batch replay %s", fmtBytes(incrBytes), fmtBytes(batchBytes))
 }
 
 func fmtBytes(b uint64) string {

@@ -2,27 +2,25 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graphio"
 )
 
 // TestReplayDeterminismUnderConcurrency is the tentpole invariant: a live
-// server fed by 8 concurrent writers — with periodic detections and 4
-// concurrent suspect/user readers racing the ingest — must end up with an
-// event log whose batch replay (core.DetectSharded over the journal) is
-// byte-identical to the server's own final detection. Run it under -race:
+// server fed by 8 concurrent writers — with periodic detections stepping
+// the engine over arbitrary journal prefixes and 4 concurrent suspect/user
+// readers racing the ingest — must end up with an event log whose batch
+// replay (core.DetectSharded over the journal) is byte-identical to the
+// server's own final detection. Run it under -race:
 // the readers and writers also double as the data-race probe for the
 // epoch-swap snapshot model. The "ml" variant runs every sweep — live
 // server and both replays — through the multilevel ladder; byte-equality
@@ -51,11 +49,11 @@ func replayDeterminismUnderConcurrency(t *testing.T, multilevel bool) {
 		parts[w] = append(parts[w], events[i], events[i+1])
 	}
 
-	journal := filepath.Join(t.TempDir(), "events.log")
+	dir := t.TempDir()
 	detOpts := testDetectorOptions()
 	detOpts.Cut.Multilevel = multilevel
 	s, ts := newTestServer(t, testBase(n), func(cfg *Config) {
-		cfg.JournalPath = journal
+		cfg.Store = openSegmented(t, dir)
 		cfg.DetectEvery = 5 * time.Millisecond // detections race the ingest
 		cfg.Detector = detOpts
 	})
@@ -141,30 +139,17 @@ func replayDeterminismUnderConcurrency(t *testing.T, multilevel bool) {
 	}
 
 	total := len(EventsToRequests(events))
-	waitFor(t, 10*time.Second, "ingest to drain", func() bool {
-		snap := make(chan logSnapshot, 1)
-		s.snapReq <- snap
-		return len((<-snap).reqs) == total
-	})
-	finalEp, err := s.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	drainIngest(t, s)
+	finalEp := detectNow(t, s)
 	if finalEp.Events != total {
 		t.Fatalf("final epoch covers %d events, want %d", finalEp.Events, total)
 	}
-	ts.Close()
-	if _, err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	stopServer(t, s, ts)
 
 	// The journal is the server's arrival-ordered answered-request log.
 	// Batch-replaying it through DetectSharded must reproduce the server's
 	// final detection byte for byte.
-	logged, err := graphio.ReadRequestsFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logged := readJournal(t, dir)
 	if len(logged) != total {
 		t.Fatalf("journal holds %d answered requests, want %d", len(logged), total)
 	}

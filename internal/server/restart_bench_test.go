@@ -4,60 +4,44 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/incr"
 	"repro/internal/storage"
 )
 
 // BenchmarkRestart measures time-to-serving after a process restart: open
-// the journal's backend, recover, and build epoch 0 — everything between
-// exec and the first useful /v1/suspects answer. The flat backend re-folds
-// the whole journal into a fresh frozen read model; the segmented backend
-// loads the latest snapshot's CSR and patches the tail, so restart cost
-// tracks the delta since the last snapshot, not journal length.
-// scripts/bench_storage.sh runs this at 10^6 events and enforces the >=5x
-// recovery-speedup bar recorded in BENCH_storage.json.
+// the store, recover, and build epoch 0 — everything between exec and the
+// first useful /v1/suspects answer. With no snapshot the server replays
+// every segment and folds the whole journal into a fresh frozen read model;
+// with one, it loads the snapshot's CSR and engine memo and patches the
+// tail, so restart cost tracks the delta since the last snapshot, not
+// journal length. scripts/bench_storage.sh runs this at 10^6 events and
+// enforces the speedup floor recorded in BENCH_storage.json.
 func BenchmarkRestart(b *testing.B) {
 	for _, nEvents := range []int{100_000, 1_000_000} {
 		base, reqs := benchRestartWorld(nEvents)
-		b.Run(fmt.Sprintf("backend=flat/events=%d", nEvents), func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "journal.log")
-			st, err := storage.OpenFlat(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seedStore(b, st, reqs, 0, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := storage.OpenFlat(path)
-				if err != nil {
-					b.Fatal(err)
+		// Snapshot covering 99% of the journal: the realistic steady
+		// state of a server snapshotting every SnapshotEvery records.
+		for _, leg := range []struct {
+			name   string
+			snapAt int
+		}{{"none", 0}, {"99pct", nEvents * 99 / 100}} {
+			b.Run(fmt.Sprintf("snapshot=%s/events=%d", leg.name, nEvents), func(b *testing.B) {
+				dir := b.TempDir()
+				seedStore(b, dir, base, reqs, leg.snapAt)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st, err := storage.Open(storage.Options{Dir: dir})
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchRestartOnce(b, base, st)
 				}
-				benchRestartOnce(b, base, st)
-			}
-		})
-		b.Run(fmt.Sprintf("backend=segmented/events=%d", nEvents), func(b *testing.B) {
-			dir := b.TempDir()
-			st, err := storage.Open(storage.Options{Dir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Snapshot covering 99% of the journal: the realistic steady
-			// state of a server snapshotting every SnapshotEvery records.
-			snapAt := nEvents * 99 / 100
-			seedStore(b, st, reqs, snapAt, benchFold(base, reqs[:snapAt]))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := storage.Open(storage.Options{Dir: dir})
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchRestartOnce(b, base, st)
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -82,22 +66,16 @@ func benchRestartWorld(nEvents int) (*graph.Graph, []core.TimedRequest) {
 	return base, reqs
 }
 
-func benchFold(base *graph.Graph, reqs []core.TimedRequest) *graph.Frozen {
-	aug := base.Clone()
-	for _, req := range reqs {
-		if req.Accepted {
-			aug.AddFriendship(req.From, req.To)
-		} else {
-			aug.AddRejection(req.To, req.From)
-		}
-	}
-	return aug.FreezeCanonical()
-}
-
-// seedStore writes the whole workload, snapshotting at snapAt (0 = no
-// snapshot), and closes the store.
-func seedStore(b *testing.B, st storage.Store, reqs []core.TimedRequest, snapAt int, frozen *graph.Frozen) {
+// seedStore writes the whole workload under dir the way a live server
+// would have: journal appends, plus — at snapAt records (0 = never) — the
+// snapshot a detection there persists: the prefix, its frozen read model,
+// and the memo of an engine stepped over it.
+func seedStore(b *testing.B, dir string, base *graph.Graph, reqs []core.TimedRequest, snapAt int) {
 	b.Helper()
+	st, err := storage.Open(storage.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
 	if _, err := st.Recover(nil); err != nil {
 		b.Fatal(err)
 	}
@@ -105,16 +83,28 @@ func seedStore(b *testing.B, st storage.Store, reqs []core.TimedRequest, snapAt 
 		if err := st.Append(req); err != nil {
 			b.Fatal(err)
 		}
-		if i+1 == snapAt {
-			if err := st.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			err := st.Snapshot(storage.SnapshotState{
-				Count: snapAt, Requests: reqs[:snapAt], Frozen: frozen,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+		if i+1 != snapAt {
+			continue
+		}
+		if err := st.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		eng, err := incr.NewEngine(incr.Config{Base: base, Detector: testDetectorOptions()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := eng.Step(incr.Delta{Requests: reqs[:snapAt]}); err != nil {
+			b.Fatal(err)
+		}
+		memo, err := eng.ExportMemo()
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = st.Snapshot(storage.SnapshotState{
+			Count: snapAt, Requests: reqs[:snapAt], Frozen: coldFold(base, reqs[:snapAt]), Memo: memo,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 	if err := st.Flush(); err != nil {

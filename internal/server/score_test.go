@@ -34,18 +34,6 @@ func doScoreReq(t *testing.T, s *Server, method, target string, body []byte) *ht
 	return rec
 }
 
-// quiesce waits for the ingest queue to empty, then round-trips a snapshot
-// request through the ingest loop — the loop is serialized, so the reply
-// proves every previously queued event has been fully applied (queue-empty
-// alone can race the final apply).
-func quiesce(t *testing.T, s *Server) {
-	t.Helper()
-	drainIngest(t, s)
-	reply := make(chan logSnapshot, 1)
-	s.snapReq <- reply
-	<-reply
-}
-
 // TestScoreEpochConsistencyProperty drives 200 seeded worlds end to end
 // and holds the verdict path to its two contracts: every account the
 // published epoch flagged scores at least the deny threshold (the fusion
@@ -72,7 +60,7 @@ func TestScoreEpochConsistencyProperty(t *testing.T) {
 
 		events := spamWorkload(r, n, spammers)
 		postEvents(t, ts.URL, events)
-		quiesce(t, s)
+		drainIngest(t, s)
 		ep := detectNow(t, s)
 
 		opts := s.Scorer().Options()
@@ -278,7 +266,7 @@ func TestServerScoreZeroAllocs(t *testing.T) {
 	s, ts := newTestServer(t, testBase(n), nil)
 	r := rand.New(rand.NewPCG(4, 4))
 	postEvents(t, ts.URL, spamWorkload(r, n, 6))
-	quiesce(t, s)
+	drainIngest(t, s)
 	detectNow(t, s)
 
 	id := graph.NodeID(0)
@@ -345,7 +333,7 @@ func TestScoreHookDrivesEnforcement(t *testing.T) {
 	})
 	r := rand.New(rand.NewPCG(12, 12))
 	postEvents(t, ts.URL, spamWorkload(r, n, 5))
-	quiesce(t, s)
+	drainIngest(t, s)
 	ep := detectNow(t, s)
 	if len(ep.suspectIntervals) == 0 {
 		t.Skip("world produced no suspects")
@@ -399,7 +387,7 @@ func TestScoreHTTPEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, testBase(n), nil)
 	r := rand.New(rand.NewPCG(6, 6))
 	postEvents(t, ts.URL, spamWorkload(r, n, 3))
-	quiesce(t, s)
+	drainIngest(t, s)
 	detectNow(t, s)
 
 	var single scoreReply

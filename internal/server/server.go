@@ -19,18 +19,23 @@ import (
 	"repro/internal/storage"
 )
 
-// logSnapshot is the ingest loop's handoff to the detector: the immutable
-// answered-request prefix and, in incremental mode, the delta accumulated
-// since the previous handoff (ownership transfers with the send; the
-// ingest loop starts a fresh accumulator).
-type logSnapshot struct {
-	reqs  []core.TimedRequest
-	delta incr.Delta
+// journal is the one sink the ingest fold writes answered requests to: the
+// local storage.Store or the Backend, whichever is configured.
+type journal interface {
+	Append(core.TimedRequest) error
+	Flush() error
+	Close() error
 }
 
 // ErrShuttingDown is returned by operations refused because the server is
 // draining.
 var ErrShuttingDown = errors.New("server: shutting down")
+
+// errJournal wraps the first journal Append/Flush failure. From then on
+// the server refuses ingest and detection (503) and keeps serving the last
+// good epoch: nothing is ever folded or published over records the journal
+// did not take.
+var errJournal = errors.New("server: journal failed")
 
 // Config parameterizes a Server.
 type Config struct {
@@ -53,27 +58,18 @@ type Config struct {
 	// Retry-After. Default 1024.
 	QueueSize int
 
-	// JournalPath appends every answered request to a flat text journal at
-	// this file, via the storage engine's flat backend. If the file already
-	// holds a journal, the server recovers its state from it before
-	// serving. Mutually exclusive with Store; both empty disables
-	// journaling.
-	JournalPath string
-
-	// Store is the journal's storage backend (internal/storage). Supply a
-	// segmented store for checksummed segments, persisted snapshots, and
-	// O(delta) restart; leave nil with JournalPath set for the flat text
-	// journal. The server takes ownership: Recover runs during New and
-	// Close during Shutdown.
+	// Store is the durable journal (internal/storage): checksummed
+	// segments, persisted snapshots, O(delta) restart. Nil keeps the
+	// journal in memory only. The server takes ownership: Recover runs
+	// during New and Close during Shutdown.
 	Store storage.Store
 
 	// SnapshotEvery persists a storage snapshot after a completed
 	// detection whenever at least this many journal records accumulated
 	// since the last snapshot. The snapshot carries the epoch's journal
-	// prefix, its frozen read model, and — in incremental mode — the epoch
-	// engine's memo, so the next boot patches forward from it instead of
-	// re-folding the log. Requires a snapshot-capable Store; zero disables
-	// snapshotting.
+	// prefix, its frozen read model, and the epoch engine's memo, so the
+	// next boot patches forward from it instead of re-folding the log.
+	// Requires a Store; zero disables snapshotting.
 	SnapshotEvery int
 
 	// CacheSize bounds the per-user lookup memo. Default 4096.
@@ -83,23 +79,13 @@ type Config struct {
 	// tracing at zero cost.
 	Tracer obs.Tracer
 
-	// Incremental switches the detector loop to the incremental epoch
-	// engine (internal/incr): the ingest fold accumulates a Delta of the
-	// journal's appended tail, each detection patches the previous epoch's
-	// frozen snapshots instead of re-folding the log, and interval sweeps
-	// are warm-started from the previous epoch's cuts (quality-gated, see
-	// core.DetectWarm). With warm starting disabled the published suspect
-	// sets are byte-identical to batch mode's.
+	// Deprecated: ignored, the incremental engine is the only one; kept because bench/sut.go sets it.
 	Incremental bool
 
-	// PatchMaxFraction is the delta-to-graph edge ratio above which a
-	// frozen snapshot is rebuilt cold instead of patched. Zero means
-	// incr.DefaultMaxPatchFraction. Only meaningful with Incremental.
-	PatchMaxFraction float64
-
-	// DisableWarmStart makes every incremental detection solve cold,
-	// keeping the epoch-over-epoch replay invariant byte-exact while still
-	// patching snapshots and reusing untouched intervals.
+	// DisableWarmStart makes every detection solve cold, so each published
+	// epoch is byte-identical to Replay of its journal prefix. By default
+	// interval sweeps are warm-started from the previous epoch's cuts
+	// (quality-gated, see core.DetectWarm).
 	DisableWarmStart bool
 
 	// Score configures the real-time verdict path (GET/POST /v1/score):
@@ -118,10 +104,9 @@ type Config struct {
 	// coordinator in internal/cluster is the canonical implementation).
 	// The server still owns the HTTP surface, the ingest queue, the epoch
 	// read model, and the real-time scorer; Append/Flush/Detect are
-	// delegated. Mutually exclusive with Store, JournalPath, Incremental,
-	// and SnapshotEvery — the backend owns durability and detection
-	// strategy wholesale. The server takes ownership: Recover runs during
-	// New and Close during Shutdown.
+	// delegated. Mutually exclusive with Store and SnapshotEvery — the
+	// backend owns durability and detection strategy wholesale. The server
+	// takes ownership: Recover runs during New and Close during Shutdown.
 	Backend Backend
 
 	// EpochHook, when non-nil, receives every published epoch: its
@@ -181,7 +166,7 @@ type Server struct {
 	handler http.Handler
 
 	queue      chan Event
-	snapReq    chan chan logSnapshot
+	snapReq    chan chan []core.TimedRequest
 	detectReq  chan detectRequest
 	quit       chan struct{} // closed first: stops detector, cancels detection
 	ingestQuit chan struct{} // closed second: ingest drains queue and exits
@@ -202,26 +187,33 @@ type Server struct {
 	// Ingest-loop-owned state. Written only by the ingest goroutine (and
 	// by New during recovery, before the goroutine starts); other
 	// goroutines reach it only through snapReq.
-	lc       *lifecycle
-	events   []core.TimedRequest
-	delta    incr.Delta // incremental mode: journal tail since last handoff
-	storeErr error      // sticky append/flush error; read after ingestDone closes
+	lc     *lifecycle
+	events []core.TimedRequest
 
-	// store is the journal's durable backend. Its methods are internally
-	// synchronized: the ingest loop appends and flushes, the detector
-	// snapshots, HTTP readers poll Stats.
+	// sink is where the ingest loop journals: store or backend, nil for a
+	// memory-only server. journalErr holds its first failure (see
+	// errJournal); set by the ingest loop, read by any goroutine.
+	sink       journal
+	journalErr atomic.Pointer[error]
+
+	// store and backend are the two owners of durability and detection; at
+	// most one is set, fixed after New. Their methods are internally
+	// synchronized: the ingest loop appends and flushes through sink, the
+	// detector snapshots (store) or detects (backend), HTTP readers poll
+	// Stats.
 	store    storage.Store
-	recovery storage.RecoveryInfo // fixed after New
+	recovery storage.RecoveryInfo
+	backend  Backend
 
-	// backend, when non-nil, owns journaling and detection instead of
-	// store/engine (see Backend). Fixed after New.
-	backend Backend
-
-	// Detector-goroutine-owned incremental state (after New).
-	engine        *incr.Engine
-	lastFrozen    *graph.Frozen // read model: base + every request handed to the detector
-	lastSnapCount int           // journal records covered by the latest storage snapshot
-	snapErr       error         // sticky snapshot error; read after detectorDone closes
+	// Detector-goroutine-owned state (after New). The journal is append-
+	// only and every handed-out prefix immutable, so "the delta since the
+	// last epoch" is just the log past a remembered length.
+	engine        *incr.Engine  // nil when a Backend detects
+	engineEvents  int           // journal prefix the engine has consumed
+	lastFrozen    *graph.Frozen // read model: base + the first frozenEvents requests
+	frozenEvents  int
+	lastSnapCount int   // journal records covered by the latest storage snapshot
+	snapErr       error // sticky snapshot error; read after detectorDone closes
 	incrStats     atomic.Pointer[incrStatsReply]
 
 	interrupted  atomic.Bool
@@ -245,22 +237,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 4096
 	}
-	if cfg.Store != nil && cfg.JournalPath != "" {
-		return nil, fmt.Errorf("server: Config.Store and Config.JournalPath are mutually exclusive")
+	if cfg.Backend != nil && (cfg.Store != nil || cfg.SnapshotEvery > 0) {
+		return nil, fmt.Errorf("server: Config.Backend owns durability; Store/SnapshotEvery do not apply")
 	}
-	if cfg.Backend != nil {
-		if cfg.Store != nil || cfg.JournalPath != "" {
-			return nil, fmt.Errorf("server: Config.Backend is exclusive with Store/JournalPath")
-		}
-		if cfg.Incremental || cfg.SnapshotEvery > 0 {
-			return nil, fmt.Errorf("server: Config.Backend owns detection and durability; Incremental/SnapshotEvery do not apply")
-		}
+	if cfg.SnapshotEvery > 0 && cfg.Store == nil {
+		return nil, fmt.Errorf("server: SnapshotEvery requires a Store")
 	}
 	s := &Server{
 		cfg:          cfg,
 		base:         cfg.Base,
 		queue:        make(chan Event, cfg.QueueSize),
-		snapReq:      make(chan chan logSnapshot),
+		snapReq:      make(chan chan []core.TimedRequest),
 		detectReq:    make(chan detectRequest),
 		quit:         make(chan struct{}),
 		ingestQuit:   make(chan struct{}),
@@ -271,31 +258,27 @@ func New(cfg Config) (*Server, error) {
 		store:        cfg.Store,
 		backend:      cfg.Backend,
 	}
-	if s.store == nil && cfg.JournalPath != "" {
-		st, err := storage.OpenFlat(cfg.JournalPath)
-		if err != nil {
-			return nil, fmt.Errorf("server: opening journal: %w", err)
-		}
-		s.store = st
-	}
-	if cfg.SnapshotEvery > 0 && (s.store == nil || !s.store.SupportsSnapshots()) {
-		return nil, fmt.Errorf("server: SnapshotEvery requires a snapshot-capable Store")
-	}
 	sc, err := score.New(cfg.Base.NumNodes(), cfg.Score)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.scorer = sc
+	// Recovery streams the journal through applyRecovered, validating each
+	// record as it passes — memory tracks server state, never state plus a
+	// second full copy of the journal.
 	var rec storage.Recovered
-	if s.backend != nil {
+	switch {
+	case s.backend != nil:
 		if _, err := s.backend.Recover(s.applyRecovered); err != nil {
 			return nil, fmt.Errorf("server: backend recovery: %w", err)
 		}
-	} else {
-		rec, err = s.recoverStore()
-		if err != nil {
-			return nil, err
+		s.sink = s.backend
+	case s.store != nil:
+		if rec, err = s.store.Recover(s.applyRecovered); err != nil {
+			return nil, fmt.Errorf("server: recovering journal: %w", err)
 		}
+		s.recovery = rec.Info
+		s.sink = s.store
 	}
 	// Replay the recovered journal into the scorer's online features. Only
 	// answered requests are journaled and only answered requests advance
@@ -309,74 +292,37 @@ func New(cfg Config) (*Server, error) {
 	// With a persisted frozen snapshot the fold is O(delta): patch the
 	// snapshot's CSR with the journal tail instead of re-folding the whole
 	// log — byte-identical to the cold fold by the splice contract.
-	var epoch0 *Epoch
-	if rec.Frozen != nil {
-		frozen0 := rec.Frozen
-		if len(s.events) > rec.SnapshotCount {
-			var tail incr.Delta
-			for _, req := range s.events[rec.SnapshotCount:] {
-				tail.AddRequest(req)
-			}
-			frozen0 = incr.Patch(frozen0, tail)
-		}
-		epoch0 = s.buildEpochFrom(frozen0, len(s.events), nil, false)
-	} else {
-		epoch0 = s.buildEpoch(s.events, nil, false)
-	}
-	s.publishEpoch(epoch0)
+	s.lastFrozen, s.frozenEvents = rec.Frozen, rec.SnapshotCount
+	s.advanceReadModel(s.events)
+	s.publishEpoch(s.buildEpoch(len(s.events), nil, false))
 	s.lastSnapCount = rec.SnapshotCount
-	if cfg.Incremental {
+	if s.backend == nil {
 		det := cfg.Detector
 		det.Cancel = s.quit
 		eng, err := incr.NewEngine(incr.Config{
-			Base:             cfg.Base,
-			Detector:         det,
-			MaxPatchFraction: cfg.PatchMaxFraction,
-			DisableWarm:      cfg.DisableWarmStart,
-			Tracer:           cfg.Tracer,
+			Base:        cfg.Base,
+			Detector:    det,
+			DisableWarm: cfg.DisableWarmStart,
+			Tracer:      cfg.Tracer,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.engine = eng
-		// Prime the first delta with the journal the engine has not seen:
-		// everything past the snapshot when the snapshot carried the
-		// engine's memo, the whole recovered log otherwise. The read model
-		// starts at epoch 0's snapshot, which already covers recovery —
-		// re-patching those edges is a no-op by the splice's dedup
-		// contract.
-		tail := s.events
+		// The first Step sees the journal the engine has not: everything
+		// past the snapshot when it carried the engine's memo, the whole
+		// recovered log otherwise.
 		if rec.Memo != nil {
 			if err := eng.ImportMemo(rec.Memo); err != nil {
 				return nil, fmt.Errorf("server: importing engine memo: %w", err)
 			}
-			tail = s.events[rec.SnapshotCount:]
+			s.engineEvents = rec.SnapshotCount
 		}
-		for _, req := range tail {
-			s.delta.AddRequest(req)
-		}
-		s.lastFrozen = epoch0.frozen
+		s.engine = eng
 	}
 	s.handler = s.routes()
 	go s.ingestLoop()
 	go s.detectorLoop()
 	return s, nil
-}
-
-// recoverStore replays the storage engine's logical journal into the event
-// log, validating each record against the base graph as it streams past —
-// recovery memory tracks server state, never state plus a second full copy
-// of the journal.
-func (s *Server) recoverStore() (storage.Recovered, error) {
-	if s.store == nil {
-		return storage.Recovered{}, nil
-	}
-	rec, err := s.store.Recover(s.applyRecovered)
-	if err != nil {
-		return storage.Recovered{}, fmt.Errorf("server: recovering journal: %w", err)
-	}
-	s.recovery = rec.Info
-	return rec, nil
 }
 
 // applyRecovered is the recovery fold shared by the store and Backend
@@ -437,55 +383,58 @@ func (s *Server) ingestLoop() {
 	}
 }
 
-// apply folds one event into server state.
+// apply folds one event into server state. The journal takes an answered
+// request before anything else does, so a record the sink refused is never
+// folded, scored, or detected over; after a journal failure queued events
+// are dropped.
 func (s *Server) apply(ev Event) {
+	if s.journalErr.Load() != nil {
+		return
+	}
 	obs.Server.EventsIngested.Add(1)
 	req, answered := s.lc.apply(ev)
 	if !answered {
 		return
 	}
+	if s.sink != nil {
+		if err := s.sink.Append(req); err != nil {
+			s.failJournal(err)
+			return
+		}
+		obs.Server.JournalEvents.Add(1)
+	}
 	s.events = append(s.events, req)
 	s.scorer.Observe(req.From, req.Accepted)
-	if s.cfg.Incremental {
-		s.delta.AddRequest(req)
-	}
-	if s.backend != nil {
-		if err := s.backend.Append(req); err != nil && s.storeErr == nil {
-			s.storeErr = err
-		}
-		obs.Server.JournalEvents.Add(1)
-	} else if s.store != nil {
-		if err := s.store.Append(req); err != nil && s.storeErr == nil {
-			s.storeErr = err
-		}
-		obs.Server.JournalEvents.Add(1)
-	}
 }
 
 func (s *Server) flushJournal() {
-	if s.backend != nil {
-		if err := s.backend.Flush(); err != nil && s.storeErr == nil {
-			s.storeErr = err
-		}
-	} else if s.store != nil {
-		if err := s.store.Flush(); err != nil && s.storeErr == nil {
-			s.storeErr = err
-		}
+	if s.sink == nil || s.journalErr.Load() != nil {
+		return
 	}
+	if err := s.sink.Flush(); err != nil {
+		s.failJournal(err)
+	}
+}
+
+func (s *Server) failJournal(err error) {
+	err = fmt.Errorf("%w: %v", errJournal, err)
+	s.journalErr.Store(&err)
+}
+
+// journalFailure returns the sticky journal error, nil while the journal
+// is healthy.
+func (s *Server) journalFailure() error {
+	if err := s.journalErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // snapshot returns the answered-request log as an immutable prefix: the
 // three-index slice pins cap to len, so the ingest loop's future appends
-// can never write into the handed-out window. In incremental mode the
-// accumulated delta rides along and the accumulator resets — the delta's
-// ownership moves to the detector with the reply.
-func (s *Server) snapshot() logSnapshot {
-	snap := logSnapshot{reqs: s.events[:len(s.events):len(s.events)]}
-	if s.cfg.Incremental {
-		snap.delta = s.delta
-		s.delta = incr.Delta{}
-	}
-	return snap
+// can never write into the handed-out window.
+func (s *Server) snapshot() []core.TimedRequest {
+	return s.events[:len(s.events):len(s.events)]
 }
 
 // detectorLoop serializes detection runs: explicit POST /v1/detect
@@ -511,57 +460,57 @@ func (s *Server) detectorLoop() {
 	}
 }
 
-// runDetection snapshots the event log and runs the detection engine on
-// it — batch (core.DetectSharded from scratch) or incremental (the
-// internal/incr engine over the accumulated delta) — publishing the result
-// as a new epoch. Shutdown interrupts it between rounds; the partial epoch
-// (completed-intervals prefix) is still published and the interruption
-// recorded for the process exit status.
+// runDetection snapshots the event log, brings the read model up to it,
+// and advances detection by the journal's new tail — the incremental
+// engine's Step, or the Backend's Detect at the same cut — publishing the
+// result as a new epoch. Shutdown interrupts it between rounds; the partial
+// epoch (completed-intervals prefix) is still published and the
+// interruption recorded for the process exit status.
 func (s *Server) runDetection() (*Epoch, error) {
-	reply := make(chan logSnapshot, 1)
+	reply := make(chan []core.TimedRequest, 1)
 	select {
 	case s.snapReq <- reply:
 	case <-s.quit:
 		return nil, ErrShuttingDown
 	}
-	snap := <-reply
+	reqs := <-reply
+	if err := s.journalFailure(); err != nil {
+		return nil, err
+	}
 
 	obs.Server.DetectInflight.Set(1)
 	defer obs.Server.DetectInflight.Set(0)
 	start := time.Now()
 
+	// The read model goes first, unconditionally: even if the detection
+	// below is interrupted, the published epoch serves per-user lookups
+	// over the full cut.
+	s.advanceReadModel(reqs)
+	readModelMS := float64(time.Since(start)) / float64(time.Millisecond)
+
 	var (
-		dets        []core.IntervalDetection
-		err         error
-		ep          *Epoch
-		interrupted bool
+		dets []core.IntervalDetection
+		err  error
 	)
-	switch {
-	case s.backend != nil:
+	if s.backend != nil {
 		// The backend is handed the epoch cut and the shutdown signal; a
 		// backend refusing to start returns a plain error (never
 		// core.ErrInterrupted), so no partial epoch is published for it.
-		dets, err = s.backend.Detect(len(snap.reqs), s.quit)
-	case s.cfg.Incremental:
-		dets, err = s.runIncremental(snap)
-	default:
-		opts := s.cfg.Detector
-		opts.Cancel = s.quit
-		if opts.Tracer == nil {
-			opts.Tracer = s.cfg.Tracer
-		}
-		dets, err = core.DetectSharded(s.base, snap.reqs, opts)
+		dets, err = s.backend.Detect(len(reqs), s.quit)
+	} else {
+		dets, err = s.stepEngine(reqs, readModelMS)
 	}
-	interrupted = errors.Is(err, core.ErrInterrupted)
+	interrupted := errors.Is(err, core.ErrInterrupted)
 	if err != nil && !interrupted {
 		return nil, err
 	}
-
-	if s.cfg.Incremental {
-		ep = s.buildEpochFrom(s.lastFrozen, len(snap.reqs), dets, interrupted)
-	} else {
-		ep = s.buildEpoch(snap.reqs, dets, interrupted)
+	// A journal that failed while the detection ran may never have made
+	// this cut's tail durable: keep the last good epoch.
+	if err := s.journalFailure(); err != nil {
+		return nil, err
 	}
+
+	ep := s.buildEpoch(len(reqs), dets, interrupted)
 	s.publishEpoch(ep)
 	obs.Server.DetectEpochs.Add(1)
 	obs.Server.LastDetectMS.Set(float64(time.Since(start)) / float64(time.Millisecond))
@@ -569,57 +518,25 @@ func (s *Server) runDetection() (*Epoch, error) {
 		s.interrupted.Store(true)
 		return ep, core.ErrInterrupted
 	}
-	s.maybeSnapshot(snap.reqs, ep)
+	s.maybeSnapshot(reqs, ep)
 	return ep, nil
 }
 
-// maybeSnapshot persists a storage snapshot of the epoch just published
-// when enough journal records accumulated since the last one. The snapshot
-// covers exactly the immutable prefix this detection ran over, carries the
-// epoch's frozen read model, and — in incremental mode — the engine's memo,
-// exported right after the Step that built this epoch so the persisted
-// state is the one a restart must resume from.
-func (s *Server) maybeSnapshot(reqs []core.TimedRequest, ep *Epoch) {
-	if s.store == nil || s.cfg.SnapshotEvery <= 0 || ep.Interrupted {
-		return
-	}
-	if len(reqs)-s.lastSnapCount < s.cfg.SnapshotEvery {
-		return
-	}
-	st := storage.SnapshotState{Count: len(reqs), Requests: reqs, Frozen: ep.frozen}
-	if s.engine != nil {
-		memo, err := s.engine.ExportMemo()
-		if err != nil {
-			if s.snapErr == nil {
-				s.snapErr = err
-			}
-			return
-		}
-		st.Memo = memo
-	}
-	if err := s.store.Snapshot(st); err != nil {
-		if s.snapErr == nil {
-			s.snapErr = err
-		}
-		return
-	}
-	s.lastSnapCount = len(reqs)
-}
-
-// runIncremental advances the incremental engine by one delta. The read
-// model (lastFrozen) is brought up to date first, unconditionally: even if
-// the detection below is interrupted, the published epoch serves per-user
-// lookups over the full log, and a failed round cannot desync the snapshot
-// from the journal. The engine likewise consumes the delta before
-// detecting, so an interrupted step loses nothing — the next run re-detects
-// the stale intervals from memoized state.
-func (s *Server) runIncremental(snap logSnapshot) ([]core.IntervalDetection, error) {
-	patchStart := time.Now()
-	if incr.ShouldPatch(s.lastFrozen, snap.delta, s.cfg.PatchMaxFraction) {
-		s.lastFrozen = incr.Patch(s.lastFrozen, snap.delta)
-	} else {
+// advanceReadModel brings lastFrozen — base plus every answered request,
+// the snapshot per-user lookups are served from — up to the prefix reqs:
+// the new tail is spliced into the previous snapshot, or the whole prefix
+// folded cold when there is no snapshot yet or the tail is too large a
+// fraction of it. Both produce byte-identical snapshots (the splice
+// contract).
+func (s *Server) advanceReadModel(reqs []core.TimedRequest) {
+	tail := incr.Delta{Requests: reqs[s.frozenEvents:]}
+	switch {
+	case s.lastFrozen != nil && tail.Empty():
+	case incr.ShouldPatch(s.lastFrozen, tail):
+		s.lastFrozen = incr.Patch(s.lastFrozen, tail)
+	default:
 		aug := s.base.Clone()
-		for _, req := range snap.reqs {
+		for _, req := range reqs {
 			if req.Accepted {
 				aug.AddFriendship(req.From, req.To)
 			} else {
@@ -628,9 +545,16 @@ func (s *Server) runIncremental(snap logSnapshot) ([]core.IntervalDetection, err
 		}
 		s.lastFrozen = aug.FreezeCanonical()
 	}
-	readModelMS := float64(time.Since(patchStart)) / float64(time.Millisecond)
+	s.frozenEvents = len(reqs)
+}
 
-	dets, stats, err := s.engine.Step(snap.delta)
+// stepEngine advances the incremental engine to the prefix reqs. The
+// engine consumes the tail before detecting, so an interrupted step loses
+// nothing — the next run re-detects the stale intervals from memoized
+// state.
+func (s *Server) stepEngine(reqs []core.TimedRequest, readModelMS float64) ([]core.IntervalDetection, error) {
+	dets, stats, err := s.engine.Step(incr.Delta{Requests: reqs[s.engineEvents:]})
+	s.engineEvents = len(reqs)
 	s.incrStats.Store(&incrStatsReply{
 		Patched:     stats.Patched,
 		ColdBuilt:   stats.ColdBuilt,
@@ -645,25 +569,34 @@ func (s *Server) runIncremental(snap logSnapshot) ([]core.IntervalDetection, err
 	return dets, err
 }
 
-// buildEpoch assembles the published read model the batch way: the
-// detection results plus a canonical frozen snapshot of the fully
-// augmented graph, folded from scratch.
-func (s *Server) buildEpoch(reqs []core.TimedRequest, dets []core.IntervalDetection, interrupted bool) *Epoch {
-	aug := s.base.Clone()
-	for _, req := range reqs {
-		if req.Accepted {
-			aug.AddFriendship(req.From, req.To)
-		} else {
-			aug.AddRejection(req.To, req.From)
-		}
+// maybeSnapshot persists a storage snapshot of the epoch just published
+// when enough journal records accumulated since the last one. The snapshot
+// covers exactly the immutable prefix this detection ran over and carries
+// the epoch's frozen read model and the engine's memo, exported right after
+// the Step that built this epoch so the persisted state is the one a
+// restart must resume from.
+func (s *Server) maybeSnapshot(reqs []core.TimedRequest, ep *Epoch) {
+	if s.cfg.SnapshotEvery <= 0 || len(reqs)-s.lastSnapCount < s.cfg.SnapshotEvery {
+		return
 	}
-	return s.buildEpochFrom(aug.FreezeCanonical(), len(reqs), dets, interrupted)
+	memo, err := s.engine.ExportMemo()
+	if err == nil {
+		err = s.store.Snapshot(storage.SnapshotState{
+			Count: len(reqs), Requests: reqs, Frozen: ep.frozen, Memo: memo,
+		})
+	}
+	if err != nil {
+		if s.snapErr == nil {
+			s.snapErr = err
+		}
+		return
+	}
+	s.lastSnapCount = len(reqs)
 }
 
-// buildEpochFrom assembles an epoch around a prebuilt frozen read model —
-// the incremental path hands in its patched snapshot, byte-identical to
-// the batch fold by the splice contract.
-func (s *Server) buildEpochFrom(frozen *graph.Frozen, events int, dets []core.IntervalDetection, interrupted bool) *Epoch {
+// buildEpoch assembles an epoch over the first events journal records
+// around the current read model.
+func (s *Server) buildEpoch(events int, dets []core.IntervalDetection, interrupted bool) *Epoch {
 	suspects := make(map[graph.NodeID][]int)
 	for _, d := range dets {
 		for _, u := range d.Detection.Suspects {
@@ -676,7 +609,7 @@ func (s *Server) buildEpochFrom(frozen *graph.Frozen, events int, dets []core.In
 		Intervals:        dets,
 		Interrupted:      interrupted,
 		CompletedAt:      time.Now(),
-		frozen:           frozen,
+		frozen:           s.lastFrozen,
 		suspectIntervals: suspects,
 	}
 	s.epochSeq++
@@ -715,10 +648,7 @@ func (s *Server) mode() string {
 	if s.backend != nil {
 		return s.backend.Mode()
 	}
-	if s.cfg.Incremental {
-		return "incremental"
-	}
-	return "batch"
+	return "incremental"
 }
 
 // Score serves one real-time verdict: the account's online features fused
@@ -800,22 +730,14 @@ func (s *Server) Shutdown(ctx context.Context) (interrupted bool, err error) {
 			s.shutdownErr = ctx.Err()
 			return
 		}
-		// ingestDone closed happens-after the final journal flush (and
-		// detectorDone after the last snapshot attempt), so the sticky
-		// error fields are safe to read here.
-		if s.storeErr != nil {
-			s.shutdownErr = fmt.Errorf("server: journal: %w", s.storeErr)
-		}
+		// detectorDone closed happens-after the last snapshot attempt, so
+		// snapErr is safe to read here.
+		s.shutdownErr = s.journalFailure()
 		if s.snapErr != nil && s.shutdownErr == nil {
 			s.shutdownErr = fmt.Errorf("server: snapshot: %w", s.snapErr)
 		}
-		if s.store != nil {
-			if cerr := s.store.Close(); cerr != nil && s.shutdownErr == nil {
-				s.shutdownErr = cerr
-			}
-		}
-		if s.backend != nil {
-			if cerr := s.backend.Close(); cerr != nil && s.shutdownErr == nil {
+		if s.sink != nil {
+			if cerr := s.sink.Close(); cerr != nil && s.shutdownErr == nil {
 				s.shutdownErr = cerr
 			}
 		}
@@ -824,10 +746,10 @@ func (s *Server) Shutdown(ctx context.Context) (interrupted bool, err error) {
 }
 
 // Replay folds a lifecycle event log into its answered-request journal and
-// runs the batch engine on it — the differential-testing twin of a live
-// server: a server that ingested events (in any concurrent interleaving
-// that preserved this log order) and then detected holds exactly this
-// result.
+// runs the cold batch engine on it — the oracle a live server is tested
+// against: a server (with DisableWarmStart) that ingested events, in any
+// concurrent interleaving that preserved this log order, and then detected
+// holds exactly this result.
 func Replay(base *graph.Graph, events []Event, opts core.DetectorOptions) ([]core.IntervalDetection, error) {
 	return core.DetectSharded(base, EventsToRequests(events), opts)
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
@@ -15,16 +14,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/graphio"
 )
 
 func TestIngestDetectAndLookup(t *testing.T) {
 	const n, spammers = 300, 40
 	r := rand.New(rand.NewPCG(1, 91))
 	events := spamWorkload(r, n, spammers)
-	_, ts := newTestServer(t, testBase(n), nil)
+	s, ts := newTestServer(t, testBase(n), nil)
 
 	postEvents(t, ts.URL, events)
+	drainIngest(t, s)
 
 	resp := postJSON(t, ts.URL+"/v1/detect", []byte("{}"))
 	var detected epochReply
@@ -111,15 +110,15 @@ func TestIngestDetectAndLookup(t *testing.T) {
 func TestIngestValidation(t *testing.T) {
 	s, ts := newTestServer(t, testBase(8), nil)
 	for name, body := range map[string]string{
-		"garbage":          "not json",
-		"unknown type":     `{"type":"poke","from":0,"to":1}`,
-		"self request":     `{"type":"accept","from":3,"to":3}`,
-		"negative node":    `{"type":"reject","from":-1,"to":2}`,
-		"overflow node":    `{"type":"accept","from":2147483648,"to":1}`,
-		"node beyond base": `{"type":"accept","from":0,"to":100}`,
+		"garbage":           "not json",
+		"unknown type":      `{"type":"poke","from":0,"to":1}`,
+		"self request":      `{"type":"accept","from":3,"to":3}`,
+		"negative node":     `{"type":"reject","from":-1,"to":2}`,
+		"overflow node":     `{"type":"accept","from":2147483648,"to":1}`,
+		"node beyond base":  `{"type":"accept","from":0,"to":100}`,
 		"negative interval": `{"type":"reject","from":0,"to":1,"interval":-4}`,
-		"trailing garbage": `{"type":"accept","from":0,"to":1} trailing`,
-		"empty":            ``,
+		"trailing garbage":  `{"type":"accept","from":0,"to":1} trailing`,
+		"empty":             ``,
 	} {
 		resp := postJSON(t, ts.URL+"/v1/events", []byte(body))
 		io.Copy(io.Discard, resp.Body)
@@ -143,10 +142,7 @@ func TestBackpressure(t *testing.T) {
 		cfg.QueueSize = 4
 	})
 
-	// Stall the ingest loop deterministically: park it on an unbuffered
-	// snapshot reply that nobody reads yet.
-	hold := make(chan logSnapshot)
-	s.snapReq <- hold
+	hold := parkIngest(s)
 
 	events := make([]Event, 10)
 	for i := range events {
@@ -170,38 +166,33 @@ func TestBackpressure(t *testing.T) {
 
 	// Unblock ingest; the accepted prefix must drain into state.
 	<-hold
-	waitFor(t, 5*time.Second, "queued events to drain", func() bool {
-		ep, err := s.Detect(context.Background())
-		return err == nil && ep.Events == 4
-	})
+	drainIngest(t, s)
+	if ep := detectNow(t, s); ep.Events != 4 {
+		t.Fatalf("epoch covers %d events after the drain, want the 4 accepted", ep.Events)
+	}
 }
 
+// TestJournalRecoveryAndReplayEquivalence restarts over a journal with no
+// snapshot: recovery replays every segment, the engine's first step covers
+// the whole log, and the epoch must equal both the first life's and the
+// batch engine's over the journal.
 func TestJournalRecoveryAndReplayEquivalence(t *testing.T) {
 	const n, spammers = 120, 20
 	r := rand.New(rand.NewPCG(8, 15))
 	events := spamWorkload(r, n, spammers)
-	journal := filepath.Join(t.TempDir(), "events.log")
+	dir := t.TempDir()
 
 	// First server life: ingest, detect, shut down cleanly.
-	cfgMod := func(cfg *Config) { cfg.JournalPath = journal }
+	cfgMod := func(cfg *Config) { cfg.Store = openSegmented(t, dir) }
 	s1, ts1 := newTestServer(t, testBase(n), cfgMod)
 	postEvents(t, ts1.URL, events)
-	ep1, err := s1.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-	if _, err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	drainIngest(t, s1)
+	ep1 := detectNow(t, s1)
+	stopServer(t, s1, ts1)
 
 	// The journal is exactly the lifecycle fold of the posted events.
 	wantReqs := EventsToRequests(events)
-	gotReqs, err := graphio.ReadRequestsFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotReqs, wantReqs) {
+	if gotReqs := readJournal(t, dir); !reflect.DeepEqual(gotReqs, wantReqs) {
 		t.Fatalf("journal holds %d requests, lifecycle fold yields %d (or order differs)", len(gotReqs), len(wantReqs))
 	}
 
@@ -210,36 +201,45 @@ func TestJournalRecoveryAndReplayEquivalence(t *testing.T) {
 	if got := s2.CurrentEpoch().Events; got != len(wantReqs) {
 		t.Fatalf("recovered %d events, want %d", got, len(wantReqs))
 	}
-	ep2, err := s2.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep2 := detectNow(t, s2)
 	if !reflect.DeepEqual(epochToReply(ep1).Intervals, epochToReply(ep2).Intervals) {
 		t.Fatal("recovered server's detection differs from the original")
 	}
+	assertEpochMatchesReplay(t, "recovered", ep2, testBase(n), wantReqs, testDetectorOptions())
+}
 
-	// And both equal the batch engine on the journal.
-	batch, err := core.DetectSharded(testBase(n), gotReqs, testDetectorOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ep2.Intervals, batch) {
-		t.Fatal("server detection differs from batch DetectSharded on the same journal")
+// TestConfigValidation: combinations New must refuse.
+func TestConfigValidation(t *testing.T) {
+	base, det := testBase(10), testDetectorOptions()
+	coord := newClusterCoord(t, base, det, 2, 2, t.TempDir())
+	defer coord.Close()
+	store := openSegmented(t, t.TempDir())
+	defer store.Close()
+	for name, cfg := range map[string]Config{
+		"no base":                   {Detector: det},
+		"no termination condition":  {Base: base},
+		"SnapshotEvery, no Store":   {Base: base, Detector: det, SnapshotEvery: 10},
+		"Backend and Store":         {Base: base, Detector: det, Backend: coord, Store: store},
+		"Backend and SnapshotEvery": {Base: base, Detector: det, Backend: coord, SnapshotEvery: 10},
+	} {
+		if s, err := New(cfg); err == nil {
+			s.Shutdown(context.Background())
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
 func TestShutdownDrainsQueue(t *testing.T) {
 	const n = 60
-	journal := filepath.Join(t.TempDir(), "events.log")
+	dir := t.TempDir()
 	s, ts := newTestServer(t, testBase(n), func(cfg *Config) {
-		cfg.JournalPath = journal
+		cfg.Store = openSegmented(t, dir)
 		cfg.QueueSize = 4096
 	})
 
 	// Park the ingest loop so everything stays queued, post a burst, then
 	// shut down: the drain must apply and journal every accepted event.
-	hold := make(chan logSnapshot)
-	s.snapReq <- hold
+	hold := parkIngest(s)
 	var events []Event
 	for i := 0; i < 500; i++ {
 		from := graph.NodeID(i % n)
@@ -259,17 +259,14 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	if interrupted {
 		t.Fatal("idle shutdown reported an interrupted detection")
 	}
-	gotReqs, err := graphio.ReadRequestsFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotReqs := readJournal(t, dir)
 	if want := EventsToRequests(events); !reflect.DeepEqual(gotReqs, want) {
 		t.Fatalf("journal holds %d of %d accepted events after drain", len(gotReqs), len(want))
 	}
 }
 
 func TestShutdownInterruptsDetection(t *testing.T) {
-	// A workload with many rejection-bearing intervals keeps DetectSharded
+	// A workload with many rejection-bearing intervals keeps the engine
 	// busy long enough to interrupt: cancellation is polled between rounds,
 	// once per interval at minimum.
 	const n, intervals = 80, 400
@@ -287,11 +284,7 @@ func TestShutdownInterruptsDetection(t *testing.T) {
 		cfg.Detector.Cut.Restarts = 2
 	})
 	postEvents(t, ts.URL, events)
-	waitFor(t, 10*time.Second, "ingest to drain", func() bool {
-		snap := make(chan logSnapshot, 1)
-		s.snapReq <- snap
-		return len((<-snap).reqs) == len(events)
-	})
+	drainIngest(t, s)
 
 	detectDone := make(chan error, 1)
 	go func() {

@@ -8,11 +8,17 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/storage"
 )
 
 // testBase builds a ring-plus-chords legitimate friendship base of n nodes,
@@ -69,7 +75,9 @@ func testDetectorOptions() core.DetectorOptions {
 }
 
 // newTestServer starts a Server plus an httptest front end and registers
-// cleanup. Mutate cfg defaults via mod (may be nil).
+// cleanup. Mutate cfg defaults via mod (may be nil). Warm starting is off
+// by default so every epoch is byte-comparable to Replay; warm tests opt
+// back in.
 func newTestServer(t *testing.T, base *graph.Graph, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
@@ -77,7 +85,8 @@ func newTestServer(t *testing.T, base *graph.Graph, mod func(*Config)) (*Server,
 		Detector: testDetectorOptions(),
 		// Tests post whole workloads in one batch; keep the queue out of
 		// the way unless a test shrinks it to exercise backpressure.
-		QueueSize: 1 << 16,
+		QueueSize:        1 << 16,
+		DisableWarmStart: true,
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -163,4 +172,152 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// drainIngest waits until every posted event is folded: the queue is
+// empty, and a snapshot round-trip through the (serialized) ingest loop
+// proves the last dequeued event has been fully applied. POST /v1/events
+// acks on enqueue, so every post→Detect or post→Score pair needs this
+// barrier to be deterministic.
+func drainIngest(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "ingest to drain", func() bool {
+		return len(s.queue) == 0
+	})
+	foldedEvents(s)
+}
+
+// foldedEvents reports how many answered requests the ingest loop has
+// folded so far.
+func foldedEvents(s *Server) int {
+	reply := make(chan []core.TimedRequest, 1)
+	s.snapReq <- reply
+	return len(<-reply)
+}
+
+// parkIngest stalls the ingest loop deterministically on an unbuffered
+// snapshot reply nobody reads; receive from the returned channel to
+// release it.
+func parkIngest(s *Server) <-chan []core.TimedRequest {
+	hold := make(chan []core.TimedRequest)
+	s.snapReq <- hold
+	return hold
+}
+
+// detectNow runs a detection and fails the test on error.
+func detectNow(t *testing.T, s *Server) *Epoch {
+	t.Helper()
+	ep, err := s.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
+// stopServer shuts a test server down cleanly, as a restart test's end of
+// life.
+func stopServer(t *testing.T, s *Server, ts *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// assertEpochMatchesReplay holds one published epoch to the replay
+// invariant: its detections equal the cold batch engine's over the same
+// answered-request prefix, and its frozen read model equals the cold fold
+// of base plus that prefix.
+func assertEpochMatchesReplay(t *testing.T, what string, ep *Epoch, base *graph.Graph, reqs []core.TimedRequest, opts core.DetectorOptions) {
+	t.Helper()
+	if ep.Events != len(reqs) {
+		t.Fatalf("%s: epoch covers %d events, want %d", what, ep.Events, len(reqs))
+	}
+	want, err := core.DetectSharded(base, reqs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ep.Intervals, want) {
+		t.Fatalf("%s: epoch diverges from cold replay:\n got %+v\nwant %+v", what, ep.Intervals, want)
+	}
+	if !ep.frozen.Equal(coldFold(base, reqs)) {
+		t.Fatalf("%s: read model is not byte-identical to the cold fold", what)
+	}
+}
+
+// coldFold is the reference read model: base plus every answered request,
+// folded from scratch.
+func coldFold(base *graph.Graph, reqs []core.TimedRequest) *graph.Frozen {
+	aug := base.Clone()
+	for _, req := range reqs {
+		if req.Accepted {
+			aug.AddFriendship(req.From, req.To)
+		} else {
+			aug.AddRejection(req.To, req.From)
+		}
+	}
+	return aug.FreezeCanonical()
+}
+
+// openSegmented opens a segmented store over dir, small segments so server
+// tests cross seal/roll boundaries.
+func openSegmented(t testing.TB, dir string) storage.Store {
+	t.Helper()
+	st, err := storage.Open(storage.Options{Dir: dir, SegmentBytes: 64 * 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// readJournal recovers the journal a stopped server left under dir.
+func readJournal(t *testing.T, dir string) []core.TimedRequest {
+	t.Helper()
+	st := openSegmented(t, dir)
+	defer st.Close()
+	var reqs []core.TimedRequest
+	if _, err := st.Recover(func(batch []core.TimedRequest) error {
+		reqs = append(reqs, batch...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
+// tearLiveSegment appends junk bytes to the newest segment file under dir,
+// as a torn append would leave.
+func tearLiveSegment(t *testing.T, dir string, junk int) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (err=%v)", dir, err)
+	}
+	sort.Strings(segs) // hex names sort by first sequence number
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(bytes.Repeat([]byte{0xEE}, junk)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newClusterCoord builds a multi-node coordinator suitable for Config.Backend.
+func newClusterCoord(t *testing.T, base *graph.Graph, opts core.DetectorOptions, shards, workers int, dir string) *cluster.Coordinator {
+	t.Helper()
+	c, err := cluster.New(cluster.Config{
+		Base:     base,
+		Detector: opts,
+		Shards:   shards,
+		Workers:  workers,
+		Dir:      dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

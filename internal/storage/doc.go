@@ -3,14 +3,12 @@
 // that make restart cost O(delta since last snapshot) instead of
 // O(journal).
 //
-// Two backends implement the Store interface. OpenFlat wraps the original
-// single-file text journal (the graphio request-log format) — simple,
-// greppable, replayed from byte zero on every boot. Open is the real log:
-// fixed-size segments of CRC32C-checksummed binary records with a sealed-
-// segment footer, a manifest naming the live segment set and the latest
-// snapshot, snapshot files folding the journal prefix (plus the frozen CSR
-// read model and the incremental engine's memo) into one bulk-loadable
-// file, and compaction that deletes segments fully covered by a snapshot.
+// Open returns the one Store implementation: fixed-size segments of
+// CRC32C-checksummed binary records with a sealed-segment footer, a
+// manifest naming the live segment set and the latest snapshot, snapshot
+// files folding the journal prefix (plus the frozen CSR read model and the
+// epoch engine's memo) into one bulk-loadable file, and compaction that
+// deletes segments fully covered by a snapshot.
 //
 // # Correctness model
 //

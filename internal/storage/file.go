@@ -582,9 +582,6 @@ func (s *FileStore) Snapshot(st SnapshotState) error {
 	return nil
 }
 
-// SupportsSnapshots implements Store.
-func (s *FileStore) SupportsSnapshots() bool { return true }
-
 // Stats implements Store.
 func (s *FileStore) Stats() Stats {
 	s.mu.Lock()

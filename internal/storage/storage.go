@@ -36,13 +36,8 @@ type Store interface {
 	Flush() error
 
 	// Snapshot persists st and compacts: segments fully covered by the
-	// snapshot are deleted after the manifest commits. Backends without
-	// snapshot support return ErrSnapshotsUnsupported.
+	// snapshot are deleted after the manifest commits.
 	Snapshot(st SnapshotState) error
-
-	// SupportsSnapshots reports whether Snapshot can succeed — the check
-	// server.New runs at configuration time.
-	SupportsSnapshots() bool
 
 	// Stats reports the store's current shape for /v1/stats.
 	Stats() Stats
@@ -54,18 +49,14 @@ type Store interface {
 	Close() error
 }
 
-// ErrSnapshotsUnsupported is returned by Snapshot on backends that cannot
-// persist snapshots (the flat text journal).
-var ErrSnapshotsUnsupported = errors.New("storage: backend does not support snapshots")
-
 // ErrCrashed is returned by every operation after a fault hook simulated a
 // crash: the store behaves as if the process died at that instant, and the
 // only useful next step is Close (release handles) and a fresh open.
 var ErrCrashed = errors.New("storage: simulated crash")
 
 // SnapshotState is everything a snapshot persists: the journal prefix it
-// covers, the canonical frozen read model of base + that prefix, and — in
-// incremental mode — the epoch engine's memo. Requests must hold exactly
+// covers, the canonical frozen read model of base + that prefix, and the
+// epoch engine's memo. Requests must hold exactly
 // Count records in arrival order; Frozen and Memo may be nil (a
 // requests-only snapshot still makes recovery O(delta) for the log itself).
 type SnapshotState struct {
@@ -116,7 +107,7 @@ type RecoveryInfo struct {
 // Stats is a point-in-time description of the store for /v1/stats and the
 // operator runbook.
 type Stats struct {
-	// Backend is "flat" or "segmented".
+	// Backend names the on-disk format, "segmented".
 	Backend string
 	// Records is the logical journal length (recovered + appended).
 	Records int64

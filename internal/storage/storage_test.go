@@ -232,49 +232,6 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 }
 
-func TestFlatStoreRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.reqlog")
-	reqs := reqSeq(7, 12, 40)
-	st, err := OpenFlat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Recover(nil); err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, st, reqs)
-	if st.SupportsSnapshots() {
-		t.Fatal("flat store claims snapshot support")
-	}
-	if err := st.Snapshot(SnapshotState{}); err != ErrSnapshotsUnsupported {
-		t.Fatalf("flat Snapshot returned %v, want ErrSnapshotsUnsupported", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := OpenFlat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	var log []core.TimedRequest
-	rec, err := st2.Recover(func(req []core.TimedRequest) error {
-		log = append(log, req...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameLog(t, log, reqs, "flat restart")
-	if rec.Info.Records != len(reqs) {
-		t.Fatalf("flat recovery info %+v", rec.Info)
-	}
-	if st2.Stats().Backend != "flat" {
-		t.Fatalf("flat backend reports %q", st2.Stats().Backend)
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := manifest{
