@@ -341,7 +341,7 @@ func (c *Coordinator) Recover(apply func([]core.TimedRequest) error) (int, error
 // Append routes one answered request: into the arrival journal, its
 // sender's shard partition, and its interval owner's detection queue.
 // Shipping to the shard's worker is deferred to Flush (the server's
-// quiet-point policy), so Append itself never blocks on the transport —
+// group-commit policy), so Append itself never blocks on the transport —
 // unless Config.ShipEvery is set, in which case reaching a shard's
 // backlog threshold ships that shard's tail inline (natural ingest
 // backpressure).

@@ -11,7 +11,7 @@
 //     routed to the home shard of its From node (contiguous user-ID
 //     ranges), appended to that shard's own storage-backed journal
 //     partition (internal/storage segments under Dir/shard-NNN), and
-//     flushed at the server's quiet points.
+//     flushed by the server's group commit.
 //   - Detection ownership follows the interval: interval i belongs to
 //     shard i mod S, whose shard-local incr.Engine memoizes exactly the
 //     intervals it owns.

@@ -9,9 +9,14 @@ import "expvar"
 // free next to the work they count.
 type ServerCounters struct {
 	// EventsIngested counts lifecycle events applied to server state;
-	// EventsRejected counts events refused at decode/validation time.
+	// EventsRejected counts ingest requests refused at read, decode or
+	// validation time — one per request, whatever its body held.
 	EventsIngested *expvar.Int
 	EventsRejected *expvar.Int
+	// JournalDropped counts events that were acked on enqueue and then
+	// discarded because the journal had failed before the ingest loop
+	// reached them.
+	JournalDropped *expvar.Int
 	// QueueDepth is a gauge of events sitting in the bounded ingest queue;
 	// Backpressure429 counts ingest requests refused with 429 because the
 	// queue was full.
@@ -47,6 +52,7 @@ type ServerCounters struct {
 var Server = ServerCounters{
 	EventsIngested:  expvar.NewInt("rejecto.server.events_ingested"),
 	EventsRejected:  expvar.NewInt("rejecto.server.events_rejected"),
+	JournalDropped:  expvar.NewInt("rejecto.server.dropped_after_journal_error"),
 	QueueDepth:      expvar.NewInt("rejecto.server.queue_depth"),
 	Backpressure429: expvar.NewInt("rejecto.server.backpressure_429s"),
 	HTTPRequests:    expvar.NewMap("rejecto.server.http_requests"),

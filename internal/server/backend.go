@@ -28,8 +28,10 @@ type Backend interface {
 	// order-independent beyond that).
 	Append(req core.TimedRequest) error
 
-	// Flush makes every appended record durable — called at the server's
-	// quiet points and during shutdown drain. The first Append or Flush
+	// Flush makes every appended record durable — called by the ingest
+	// loop's group-commit policy (every commitRecords records or
+	// commitDelay, whichever first), before every Detect's cut is taken,
+	// and during shutdown drain. The first Append or Flush
 	// error stops ingest: no further Append or Flush follows it, and no
 	// epoch is published past it.
 	Flush() error

@@ -11,14 +11,19 @@
 //
 //   - The ingest loop owns the event log, the pending-request lifecycle
 //     table, and the journal sink (a storage.Store, a Backend, or nothing).
-//     HTTP ingest handlers hand it events through a bounded queue
-//     (backpressure: 429 + Retry-After when full); it is the only
-//     goroutine that mutates anything. A record is journaled before it is
-//     folded, and the first sink error stops ingest and detection (503)
-//     while the last good epoch keeps being served.
+//     HTTP ingest handlers decode each POST into a pooled batch and hand
+//     it over whole through a queue bounded in events (backpressure: the
+//     prefix that fits is queued, the rest answered 429 + Retry-After;
+//     past ingestPace the 202 itself is held, see ackHold);
+//     the loop is the only goroutine that mutates anything. A record is
+//     journaled before it is folded, the journal is flushed as a group
+//     commit (every commitRecords records or commitDelay, before each
+//     snapshot, on shutdown), and the first sink error stops ingest and
+//     detection (503) while the last good epoch keeps being served.
 //   - The detector loop runs detections serially. It asks the ingest loop
 //     for a snapshot — an immutable prefix of the answered-request log,
-//     an O(1) handoff, so detection never blocks ingest — splices the
+//     one group commit and then an O(1) handoff, so detection never
+//     blocks ingest for longer than a flush — splices the
 //     prefix's new tail into the frozen read model, and hands the same
 //     tail to the incr.Engine (or the cut position to the Backend), which
 //     patches each touched interval's snapshot, reuses the untouched ones,

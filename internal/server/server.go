@@ -165,7 +165,11 @@ type Server struct {
 
 	handler http.Handler
 
-	queue      chan Event
+	// queue carries whole decoded batches, one entry per POST; queued is
+	// the number of events in them (and in the batch being folded), the
+	// unit QueueSize, queue_depth and the 429 contract are stated in.
+	queue      chan *[]Event
+	queued     atomic.Int64
 	snapReq    chan chan []core.TimedRequest
 	detectReq  chan detectRequest
 	quit       chan struct{} // closed first: stops detector, cancels detection
@@ -184,11 +188,28 @@ type Server struct {
 	// published epoch view. Score reads it lock-free from any goroutine.
 	scorer *score.Scorer
 
+	// Ack pacing (see ackHold): pace is ingestPace outside tests, zero
+	// disables it; paced is in nanoseconds since born.
+	pace  int64
+	paced atomic.Int64
+	born  time.Time
+
 	// Ingest-loop-owned state. Written only by the ingest goroutine (and
 	// by New during recovery, before the goroutine starts); other
 	// goroutines reach it only through snapReq.
 	lc     *lifecycle
 	events []core.TimedRequest
+
+	// Group-commit state, written only by the ingest loop. unflushed
+	// counts records the sink took since its last Flush and unflushedSince
+	// is when the first of them was appended (unix ns, 0 when none);
+	// commitC fires commitDelay after that and is nil while nothing is
+	// unflushed, so an idle server arms no timer. after is time.After
+	// outside tests.
+	unflushed      atomic.Int64
+	unflushedSince atomic.Int64
+	commitC        <-chan time.Time
+	after          func(time.Duration) <-chan time.Time
 
 	// sink is where the ingest loop journals: store or backend, nil for a
 	// memory-only server. journalErr holds its first failure (see
@@ -221,10 +242,28 @@ type Server struct {
 	shutdownErr  error
 }
 
+// The group-commit policy: the ingest loop flushes the journal when
+// commitRecords records are unflushed or commitDelay after the oldest of
+// them was appended, whichever comes first — and always before handing a
+// snapshot to the detector and on shutdown. The two bound what a crash can
+// lose of the events already answered 202. From the benchmark ledger: one
+// flush costs ~0.4 ms and a record ~0.2 µs to fold and append, so 16384
+// records per flush keeps fsync near 10 % of the loop at saturation (where
+// they take ~25 ms to arrive), and 250 ms keeps it near 0.2 % when idle.
+const (
+	commitRecords = 1 << 14
+	commitDelay   = 250 * time.Millisecond
+)
+
 // New builds a Server, recovers state from the journal if one exists, and
 // starts the ingest and detector loops. The caller serves Handler and must
 // call Shutdown to stop.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, time.After)
+}
+
+// newServer is New with the commit-delay timer injected.
+func newServer(cfg Config, after func(time.Duration) <-chan time.Time) (*Server, error) {
 	if cfg.Base == nil {
 		return nil, fmt.Errorf("server: Config.Base is required")
 	}
@@ -246,7 +285,10 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		base:         cfg.Base,
-		queue:        make(chan Event, cfg.QueueSize),
+		queue:        make(chan *[]Event, cfg.QueueSize), // see enqueue: one slot per reservable event, so a send never blocks
+		after:        after,
+		pace:         ingestPace,
+		born:         time.Now(),
 		snapReq:      make(chan chan []core.TimedRequest),
 		detectReq:    make(chan detectRequest),
 		quit:         make(chan struct{}),
@@ -352,28 +394,28 @@ func (s *Server) NumNodes() int { return s.base.NumNodes() }
 func (s *Server) CurrentEpoch() *Epoch { return s.epoch.Load() }
 
 // ingestLoop is the single owner of mutable server state: it applies
-// queued events, journals answered requests, and hands out immutable
-// event-log snapshots.
+// queued batches, journals answered requests under the group-commit
+// policy, and hands out immutable event-log snapshots.
 func (s *Server) ingestLoop() {
 	defer close(s.ingestDone)
 	for {
 		select {
-		case ev := <-s.queue:
-			obs.Server.QueueDepth.Add(-1)
-			s.apply(ev)
-			if len(s.queue) == 0 {
-				s.flushJournal()
-			}
+		case batch := <-s.queue:
+			s.applyBatch(batch)
+		case <-s.commitC:
+			s.flushJournal()
 		case reply := <-s.snapReq:
+			// One group commit, then O(1): a detection never runs over
+			// records the journal has not made durable.
+			s.flushJournal()
 			reply <- s.snapshot()
 		case <-s.ingestQuit:
 			// Drain: everything already queued is applied and journaled
 			// before the loop exits — the graceful-shutdown guarantee.
 			for {
 				select {
-				case ev := <-s.queue:
-					obs.Server.QueueDepth.Add(-1)
-					s.apply(ev)
+				case batch := <-s.queue:
+					s.applyBatch(batch)
 				default:
 					s.flushJournal()
 					return
@@ -383,37 +425,74 @@ func (s *Server) ingestLoop() {
 	}
 }
 
-// apply folds one event into server state. The journal takes an answered
-// request before anything else does, so a record the sink refused is never
-// folded, scored, or detected over; after a journal failure queued events
-// are dropped.
-func (s *Server) apply(ev Event) {
-	if s.journalErr.Load() != nil {
-		return
-	}
-	obs.Server.EventsIngested.Add(1)
-	req, answered := s.lc.apply(ev)
-	if !answered {
-		return
-	}
-	if s.sink != nil {
-		if err := s.sink.Append(req); err != nil {
-			s.failJournal(err)
-			return
+// applyBatch folds one queue entry into server state, releases its room in
+// the queue and recycles it. The journal takes an answered request before
+// anything else does, so a record the sink refused is never folded, scored,
+// or detected over. Once the journal has failed, what is left of this batch
+// and every later one is dropped — those events were already answered 202,
+// so the drop is counted (dropped_after_journal_error).
+func (s *Server) applyBatch(batch *[]Event) {
+	events := *batch
+	done, journaled := 0, 0
+	for ; done < len(events) && s.journalErr.Load() == nil; done++ {
+		req, answered := s.lc.apply(events[done])
+		if !answered {
+			continue
 		}
-		obs.Server.JournalEvents.Add(1)
+		if s.sink != nil {
+			if err := s.sink.Append(req); err != nil {
+				s.failJournal(err)
+				break
+			}
+			journaled++
+			s.noteUnflushed()
+		}
+		s.events = append(s.events, req)
+		s.scorer.Observe(req.From, req.Accepted)
 	}
-	s.events = append(s.events, req)
-	s.scorer.Observe(req.From, req.Accepted)
+	obs.Server.EventsIngested.Add(int64(done))
+	obs.Server.JournalEvents.Add(int64(journaled))
+	obs.Server.JournalDropped.Add(int64(len(events) - done))
+	s.queued.Add(-int64(len(events)))
+	obs.Server.QueueDepth.Add(-int64(len(events)))
+	releaseBatch(batch)
 }
 
+// noteUnflushed counts one record the sink has just taken. The first of a
+// commit window stamps it and arms the timer; the commitRecords-th closes it.
+func (s *Server) noteUnflushed() {
+	switch s.unflushed.Add(1) {
+	case 1:
+		s.unflushedSince.Store(time.Now().UnixNano())
+		s.commitC = s.after(commitDelay)
+	case commitRecords:
+		s.flushJournal()
+	}
+}
+
+// flushJournal is one group commit: everything appended so far becomes
+// durable, and the commit timer is disarmed until the next record (a timer
+// still pending is abandoned; it expires into a channel nobody reads).
 func (s *Server) flushJournal() {
-	if s.sink == nil || s.journalErr.Load() != nil {
+	s.commitC = nil
+	if s.unflushed.Load() == 0 || s.journalErr.Load() != nil {
 		return
 	}
 	if err := s.sink.Flush(); err != nil {
 		s.failJournal(err)
+		return
 	}
+	s.unflushed.Store(0)
+	s.unflushedSince.Store(0)
+}
+
+// flushAgeMS reports how long the oldest unflushed record has waited.
+func (s *Server) flushAgeMS() float64 {
+	since := s.unflushedSince.Load()
+	if since == 0 {
+		return 0
+	}
+	return float64(time.Now().UnixNano()-since) / float64(time.Millisecond)
 }
 
 func (s *Server) failJournal(err error) {

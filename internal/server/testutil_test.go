@@ -80,6 +80,13 @@ func testDetectorOptions() core.DetectorOptions {
 // back in.
 func newTestServer(t *testing.T, base *graph.Graph, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
+	return newTestServerAfter(t, base, mod, time.After)
+}
+
+// newTestServerAfter is newTestServer with the ingest loop's commit-delay
+// timer injected (see fakeTimers).
+func newTestServerAfter(t *testing.T, base *graph.Graph, mod func(*Config), after func(time.Duration) <-chan time.Time) (*Server, *httptest.Server) {
+	t.Helper()
 	cfg := Config{
 		Base:     base,
 		Detector: testDetectorOptions(),
@@ -91,7 +98,7 @@ func newTestServer(t *testing.T, base *graph.Graph, mod func(*Config)) (*Server,
 	if mod != nil {
 		mod(&cfg)
 	}
-	s, err := New(cfg)
+	s, err := newServer(cfg, after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,19 +188,29 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // barrier to be deterministic.
 func drainIngest(t *testing.T, s *Server) {
 	t.Helper()
-	waitFor(t, 10*time.Second, "ingest to drain", func() bool {
-		return len(s.queue) == 0
-	})
+	waitQueueEmpty(t, s)
 	foldedEvents(s)
+}
+
+// waitQueueEmpty waits for the ingest loop to have folded everything
+// posted, without the snapshot round trip drainIngest adds (a snapshot is
+// itself a commit point).
+func waitQueueEmpty(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "ingest queue to empty", func() bool { return s.queued.Load() == 0 })
+}
+
+// journalOf returns the answered requests the ingest loop has folded so
+// far, in journal order.
+func journalOf(s *Server) []core.TimedRequest {
+	reply := make(chan []core.TimedRequest, 1)
+	s.snapReq <- reply
+	return <-reply
 }
 
 // foldedEvents reports how many answered requests the ingest loop has
 // folded so far.
-func foldedEvents(s *Server) int {
-	reply := make(chan []core.TimedRequest, 1)
-	s.snapReq <- reply
-	return len(<-reply)
-}
+func foldedEvents(s *Server) int { return len(journalOf(s)) }
 
 // parkIngest stalls the ingest loop deterministically on an unbuffered
 // snapshot reply nobody reads; receive from the returned channel to

@@ -29,7 +29,8 @@ type Store interface {
 	Recover(apply func([]core.TimedRequest) error) (Recovered, error)
 
 	// Append adds one answered request to the journal. Durability is
-	// deferred to Flush, matching the server's quiet-point flush policy.
+	// deferred to Flush, which the server calls as a group commit: every
+	// N records or T ms, before each detection cut, and on shutdown.
 	Append(req core.TimedRequest) error
 
 	// Flush makes every appended record durable (buffer flush + fsync).
