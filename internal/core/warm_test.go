@@ -2,16 +2,26 @@ package core
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
-// eventSink collects trace events in memory.
-type eventSink struct{ events []obs.Event }
+// eventSink collects trace events in memory. Sweep workers emit from
+// their own goroutines, so Emit locks; the tests read events only after
+// the detection returned.
+type eventSink struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
 
-func (s *eventSink) Emit(e obs.Event) { s.events = append(s.events, e) }
+func (s *eventSink) Emit(e obs.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.events = append(s.events, e)
+}
 
 func (s *eventSink) count(name string) int {
 	n := 0
