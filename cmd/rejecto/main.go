@@ -7,7 +7,6 @@
 //	rejecto -graph graph.txt [-target 100 | -threshold 0.5]
 //	        [-legit-seeds 1,2,3] [-spammer-seeds 40,41]
 //	        [-kmin 0.03125] [-kmax 32] [-seed 42] [-out suspects.txt]
-//	        [-ml] [-ml-coarsest 128] [-ml-max-levels 0]
 //	        [-workers 4]  # >0 runs on the distributed engine
 //	        [-retry-attempts 4] [-retry-timeout 0] [-retry-backoff 5ms]
 //	        [-chaos-seed 7]  # inject a seeded fault schedule (distributed only)
@@ -62,9 +61,6 @@ func run() int {
 		spammer   = flag.String("spammer-seeds", "", "comma-separated known-spammer node IDs")
 		kmin      = flag.Float64("kmin", 0, "minimum friends-to-rejections ratio in the sweep")
 		kmax      = flag.Float64("kmax", 0, "maximum friends-to-rejections ratio in the sweep")
-		mlSweep   = flag.Bool("ml", false, "run sweeps through the multilevel coarsen/solve/refine ladder")
-		mlCoarse  = flag.Int("ml-coarsest", 0, "multilevel: stop coarsening below this many nodes (0 = default)")
-		mlLevels  = flag.Int("ml-max-levels", 0, "multilevel: maximum coarsening levels (0 = default)")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		out       = flag.String("out", "", "write suspect IDs to this file (default: stdout)")
 		workers   = flag.Int("workers", 0, "run on the in-process distributed engine with this many workers")
@@ -144,7 +140,6 @@ func run() int {
 
 	cutOpts := core.CutOptions{
 		KMin: *kmin, KMax: *kmax, Seeds: seeds, RandSeed: *seed, Tracer: tracer,
-		Multilevel: *mlSweep, MLCoarsestNodes: *mlCoarse, MLMaxLevels: *mlLevels,
 	}
 	opts := core.DetectorOptions{
 		Cut:                 cutOpts,

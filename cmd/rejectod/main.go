@@ -12,7 +12,7 @@
 //	         [-cluster-shards 4] [-cluster-workers 2]
 //	         [-queue 1024] [-no-warm-start]
 //	         [-score-deny 0.8] [-score-throttle 0.5] [-score-window 1024]
-//	         [-kmin 0.03125] [-kmax 32] [-seed 42] [-ml]
+//	         [-kmin 0.03125] [-kmax 32] [-seed 42]
 //	         [-trace run.jsonl] [-v] [-debug-addr :6060]
 //
 // There is one serving path. Each detection patches the previous epoch's
@@ -125,7 +125,6 @@ func run() int {
 		scoreWindow = flag.Int("score-window", 0, "sliding-window width of the score rate features, in answered requests (0 = default 1024)")
 		kmin        = flag.Float64("kmin", 0, "minimum friends-to-rejections ratio in the sweep")
 		kmax        = flag.Float64("kmax", 0, "maximum friends-to-rejections ratio in the sweep")
-		mlSweep     = flag.Bool("ml", false, "run sweeps through the multilevel coarsen/solve/refine ladder")
 		seed        = flag.Uint64("seed", 42, "random seed")
 		tracePath   = flag.String("trace", "", "write a JSONL event trace of every detection to this file")
 		verbose     = flag.Bool("v", false, "print a per-round summary table after each detection epoch")
@@ -184,7 +183,7 @@ func run() int {
 	}
 
 	detector := core.DetectorOptions{
-		Cut:                 core.CutOptions{KMin: *kmin, KMax: *kmax, RandSeed: *seed, Multilevel: *mlSweep},
+		Cut:                 core.CutOptions{KMin: *kmin, KMax: *kmax, RandSeed: *seed},
 		TargetCount:         *target,
 		AcceptanceThreshold: *threshold,
 	}

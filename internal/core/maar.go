@@ -65,7 +65,11 @@ func FindMAARCutFrozen(f *graph.Frozen, opts CutOptions) (Cut, bool) {
 		initStats[i] = f.Stats(init)
 	}
 
-	if opts.Multilevel {
+	// The ladder amortises one coarsening and one quality gate over the
+	// inits of a sweep. At one init — every warm round, every sweep
+	// without restarts — the gate alone costs what the whole flat sweep
+	// costs, so the ladder is entered only where it can pay (DESIGN.md §12).
+	if opts.Multilevel && len(inits) > 1 {
 		if cut, ok, done := findMAARCutMultilevel(f, opts, pinned, inits, initStats, jobs); done {
 			return cut, ok
 		}

@@ -59,7 +59,8 @@ const (
 // false when the sweep must be re-run flat: the graph would not coarsen,
 // no coarse job yielded a valid candidate, or the quality gate rejected
 // the polished winner (obs.EvMLFallback). The caller then runs
-// flatSweepFrozen on the same jobs, cold.
+// flatSweepFrozen on the same jobs, cold. FindMAARCutFrozen only calls this
+// for sweeps with more than one init.
 func findMAARCutMultilevel(f *graph.Frozen, opts CutOptions, pinned []bool, inits []graph.Partition, initStats []graph.CutStats, jobs []sweepJob) (Cut, bool, bool) {
 	tr := opts.Tracer
 	var t0 time.Time
@@ -90,9 +91,7 @@ func findMAARCutMultilevel(f *graph.Frozen, opts CutOptions, pinned []bool, init
 	cf := top.F
 
 	// Project each shared initial partition onto the coarsest level once;
-	// every job then starts from the small coarse copy. This is also where
-	// WarmInit composes with the ladder: a warm hint arrives here as the
-	// sole initial partition and gets projected like any other.
+	// every job then starts from the small coarse copy.
 	cInits := make([]graph.Partition, len(inits))
 	cStats := make([]graph.CutStats, len(inits))
 	for i, init := range inits {
@@ -397,11 +396,10 @@ func findMAARCutMultilevel(f *graph.Frozen, opts CutOptions, pinned []bool, init
 	// structurally blind here (projection through supernodes erases the
 	// very structure that makes these cuts precise), so each step both
 	// refines the k's coarse candidate as one more polished entrant and
-	// cold-solves the flat jobs at that k (up to maxFrontierChecks inits)
-	// as gate checks. The walk stops
-	// only once a k yields nothing valid from either path frontierMin
-	// times in a row — the validity boundary of the flat sweep itself, not
-	// of the coarser move set.
+	// cold-solves the flat jobs at that k (up to maxChecksPerK inits) as
+	// gate checks. The walk stops only once a k yields nothing valid from
+	// either path frontierMin times in a row — the validity boundary of
+	// the flat sweep itself, not of the coarser move set.
 	checksPerK := len(inits)
 	if checksPerK > maxChecksPerK {
 		checksPerK = maxChecksPerK

@@ -32,7 +32,9 @@ func randomMLWorld(r *rand.Rand, n, friendships, rejections int) *graph.Graph {
 // graph and options — the gate either proves the refined winner good or
 // falls back to the flat sweep itself. Also pins that the published
 // statistics are the true statistics of the published partition, and that
-// multilevel never loses a cut the flat sweep finds.
+// multilevel never loses a cut the flat sweep finds. The seeds that draw
+// zero restarts have a single init and pin the one-init rule instead: the
+// ladder is not entered and the two sweeps are the same sweep.
 func TestMultilevelNeverWorseThanFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("220 double sweeps")
@@ -41,7 +43,7 @@ func TestMultilevelNeverWorseThanFlat(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, 91))
 		n := 120 + r.IntN(300)
 		g := randomMLWorld(r, n, (3+r.IntN(4))*n, (1+r.IntN(3))*n)
-		// Restarts up to 5 puts the init count past maxFrontierChecks, so
+		// Restarts up to 5 puts the init count past maxChecksPerK, so
 		// the seeds exercise the capped frontier descent, not just the
 		// exhaustive small-init path.
 		opts := CutOptions{
@@ -61,6 +63,9 @@ func TestMultilevelNeverWorseThanFlat(t *testing.T) {
 
 		if okFlat && !okML {
 			t.Fatalf("seed %d: flat found a cut (acc %.4f) but multilevel found none", seed, flat.Acceptance)
+		}
+		if opts.Restarts == 0 {
+			assertSameCut(t, flat, mlCut, okFlat, okML)
 		}
 		if !okML {
 			continue
@@ -148,10 +153,10 @@ func TestMultilevelDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestMultilevelWarmComposition: a warm hint threads through the ladder —
-// the hint becomes the sole initial partition, is projected onto the
-// coarse graph, and the gated result is still at least as good as a cold
-// flat sweep would leave that hint.
+// TestMultilevelWarmComposition: a warm hint is the sweep's sole initial
+// partition, so a warm multilevel sweep never enters the ladder — it is the
+// warm flat sweep, byte for byte, and still at least as good as the cold
+// flat sweep that produced the hint.
 func TestMultilevelWarmComposition(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 81))
 	const nL, nF = 400, 150
@@ -168,6 +173,8 @@ func TestMultilevelWarmComposition(t *testing.T) {
 	if !ok {
 		t.Fatal("no warm multilevel cut")
 	}
+	warmFlat, okFlat := FindMAARCut(g, CutOptions{Seeds: seeds, RandSeed: 3, WarmInit: cold.Partition})
+	assertSameCut(t, warmFlat, warm, okFlat, ok)
 	if warm.Acceptance > cold.Acceptance+1e-12 {
 		t.Fatalf("warm multilevel acceptance %.4f worse than cold %.4f", warm.Acceptance, cold.Acceptance)
 	}

@@ -47,7 +47,11 @@ type CutOptions struct {
 	Parallelism int
 	// RandSeed makes the run reproducible. The zero value is a valid seed.
 	RandSeed uint64
-	// Multilevel runs the sweep through the multilevel ladder (package ml):
+	// Multilevel runs a sweep with more than one initial partition
+	// (Restarts > 0 and no WarmInit) through the multilevel ladder (package
+	// ml); a one-init sweep runs flat whatever this says, because the
+	// ladder's coarsening and quality gate are per-sweep costs that only
+	// pay when amortised over several inits (DESIGN.md §12). In the ladder
 	// the residual is coarsened once by heavy-edge matching (rejection-
 	// preserving pairs preferred, rejection-connected ones contracted only
 	// as a last resort), every (k, init) job is scored by a KL solve on the
@@ -59,8 +63,7 @@ type CutOptions struct {
 	// flat sweep (emitting obs.EvMLFallback) if any reference found a
 	// strictly better acceptance, so enabling Multilevel can change which
 	// near-tie cut is published but never publishes a cut the gate's flat
-	// references beat. Composes with WarmInit: the warm hint is projected
-	// onto the coarse graph like any other initial partition.
+	// references beat.
 	Multilevel bool
 	// MLCoarsestNodes bounds the coarsest level's node count (zero means
 	// ml.DefaultCoarsestNodes); MLMaxLevels caps the ladder depth including

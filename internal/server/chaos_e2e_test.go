@@ -34,8 +34,12 @@ func chaosDistributedMatchesServerEpoch(t *testing.T, multilevel bool) {
 	r := rand.New(rand.NewPCG(1, 91))
 	events := spamWorkload(r, n, spammers)
 	base := testBase(n)
+	opts := testDetectorOptions()
+	if multilevel {
+		opts = mlDetectorOptions()
+	}
 	s, ts := newTestServer(t, base, func(cfg *Config) {
-		cfg.Detector.Cut.Multilevel = multilevel
+		cfg.Detector = opts
 	})
 	postEvents(t, ts.URL, events)
 	drainIngest(t, s)
@@ -53,8 +57,6 @@ func chaosDistributedMatchesServerEpoch(t *testing.T, multilevel bool) {
 		shards[req.Interval] = append(shards[req.Interval], req)
 	}
 
-	opts := testDetectorOptions()
-	opts.Cut.Multilevel = multilevel
 	// The distributed engine runs its extended KL in-cluster — it has no
 	// multilevel path, so its config stays flat. In ml mode the server's
 	// epoch is instead checked against a batch DetectSharded rebuild running

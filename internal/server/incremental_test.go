@@ -52,9 +52,10 @@ var servingMatrix = []servingRow{
 }
 
 func (r servingRow) opts() core.DetectorOptions {
-	opts := testDetectorOptions()
-	opts.Cut.Multilevel = r.multilevel
-	return opts
+	if r.multilevel {
+		return mlDetectorOptions()
+	}
+	return testDetectorOptions()
 }
 
 // boot starts one server life of the row over dir.

@@ -51,7 +51,9 @@ func replayDeterminismUnderConcurrency(t *testing.T, multilevel bool) {
 
 	dir := t.TempDir()
 	detOpts := testDetectorOptions()
-	detOpts.Cut.Multilevel = multilevel
+	if multilevel {
+		detOpts = mlDetectorOptions()
+	}
 	s, ts := newTestServer(t, testBase(n), func(cfg *Config) {
 		cfg.Store = openSegmented(t, dir)
 		cfg.DetectEvery = 5 * time.Millisecond // detections race the ingest

@@ -74,6 +74,17 @@ func testDetectorOptions() core.DetectorOptions {
 	}
 }
 
+// mlDetectorOptions is testDetectorOptions through the multilevel ladder.
+// A sweep enters the ladder only with more than one initial partition, so
+// the ml variants of the equivalence tables add a random restart: without
+// it they would run the flat variants' code.
+func mlDetectorOptions() core.DetectorOptions {
+	opts := testDetectorOptions()
+	opts.Cut.Multilevel = true
+	opts.Cut.Restarts = 1
+	return opts
+}
+
 // newTestServer starts a Server plus an httptest front end and registers
 // cleanup. Mutate cfg defaults via mod (may be nil). Warm starting is off
 // by default so every epoch is byte-comparable to Replay; warm tests opt

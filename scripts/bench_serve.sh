@@ -40,10 +40,10 @@ echo "generating $NODES-node ws base graph..."
 "$workdir/graphgen" -model ws -n "$NODES" -m 8 -pt 0.1 -seed 7 \
 	-binary -out "$workdir/base.bin"
 
-# Narrow k-sweep + multilevel keep the million-node detections affordable;
-# the bench measures the serving path, not cut quality.
+# A narrow k-sweep keeps the million-node detections affordable; the bench
+# measures the serving path, not cut quality.
 "$workdir/rejectod" -graph "$workdir/base.bin" -listen "127.0.0.1:$PORT" \
-	-threshold 0.5 -queue 65536 -kmin 0.5 -kmax 4 -ml \
+	-threshold 0.5 -queue 65536 -kmin 0.5 -kmax 4 \
 	>"$workdir/rejectod.log" 2>&1 &
 SERVER_PID=$!
 
