@@ -84,11 +84,8 @@ func FindMAARCutFrozen(f *graph.Frozen, opts CutOptions) (Cut, bool) {
 func flatSweepFrozen(f *graph.Frozen, opts CutOptions, pinned []bool, inits []graph.Partition, initStats []graph.CutStats, jobs []sweepJob) (Cut, bool) {
 	// Tracing and counters. A nil tracer keeps the sweep clock-free and
 	// allocation-identical; the expvar counters below are always live but
-	// tick per solve (a handful of atomic adds), never per edge. Each KL
-	// pass walks every CSR adjacency entry twice (gain init + switching),
-	// so a solve's edge work is passes × 2 × (2|F| + 2|R|).
+	// tick per solve (a handful of atomic adds), never per edge.
 	tr := opts.Tracer
-	edgeWork := int64(2 * (2*f.NumFriendships() + 2*f.NumRejections()))
 	var sweepPasses atomic.Int64
 	var sweepStart time.Time
 	if tr != nil {
@@ -127,7 +124,7 @@ func flatSweepFrozen(f *graph.Frozen, opts CutOptions, pinned []bool, inits []gr
 		acc, mirrored, ok := orientCut(res.Stats, opts.Seeds)
 		obs.Pipeline.SolvesFinished.Add(1)
 		obs.Pipeline.KLPasses.Add(int64(res.Passes))
-		obs.Pipeline.EdgesScanned.Add(int64(res.Passes) * edgeWork)
+		obs.Pipeline.EdgesScanned.Add(res.EdgesScanned)
 		if tr != nil {
 			sweepPasses.Add(int64(res.Passes))
 			ev := obs.Event{

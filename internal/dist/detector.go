@@ -447,11 +447,6 @@ func (d *Detector) extendedKL(init bitset, wF, wR int64, maxPasses int) (graph.P
 	return out, passes, nil
 }
 
-type step struct {
-	node int32
-	gain int64
-}
-
 func (d *Detector) klPass(p bitset, wF, wR int64) (bool, error) {
 	gains, err := d.c.gatherGains(d.n, p, d.alive, wF, wR)
 	if err != nil {
@@ -475,34 +470,27 @@ func (d *Detector) klPass(p bitset, wF, wR int64) (bool, error) {
 		}
 	}
 
-	seq := make([]step, 0, list.Len())
+	// The master steps the same kl.Prefix as the single-machine passes, over
+	// the alive unpinned nodes, so it ends the pass at the same switch.
+	seq := make([]int32, 0, list.Len())
+	best := kl.NewPrefix(list.Len())
 	for {
 		u, gu, ok := list.PopMax()
 		if !ok {
 			break
 		}
-		seq = append(seq, step{node: int32(u), gain: gu})
+		seq = append(seq, int32(u))
 		if err := d.applySwitch(p, int32(u), wF, wR, list); err != nil {
 			return false, err
 		}
-	}
-
-	var cum, bestCum int64
-	bestLen := 0
-	for i, st := range seq {
-		cum += st.gain
-		if cum > bestCum {
-			bestCum, bestLen = cum, i+1
+		if best.Step(gu) {
+			break
 		}
 	}
-	rollFrom := bestLen
-	if bestCum <= 0 {
-		rollFrom = 0
+	for _, u := range seq[best.Len:] {
+		p.set(u, !p.get(u))
 	}
-	for _, st := range seq[rollFrom:] {
-		p.set(st.node, !p.get(st.node))
-	}
-	return bestCum > 0, nil
+	return best.Gain > 0, nil
 }
 
 // applySwitch flips u and updates the gains of its still-listed neighbours,

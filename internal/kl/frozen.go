@@ -22,12 +22,12 @@ type Workspace struct {
 	gains []int64 // per-pass best-gain trajectory (Result.PassGains)
 }
 
-// wsStep records one tentative switch of a KL pass: the node, the gain the
-// bucket list predicted, and the switch's effect on the incremental cut
-// statistics so a rollback can subtract it.
+// wsStep records one tentative switch of a KL pass: the node and the
+// switch's effect on the incremental cut statistics, so a rollback can
+// subtract it. (The gain the bucket list predicted goes straight into the
+// pass's Prefix.)
 type wsStep struct {
 	node   graph.NodeID
-	gain   int64
 	dCross int32 // delta CrossFriendships
 	dRejS  int32 // delta RejIntoSuspect
 	dRejL  int32 // delta RejIntoLegit
@@ -111,6 +111,12 @@ func partitionFrozen(f *graph.Frozen, init graph.Partition, initStats graph.CutS
 		maxAbs:   frozenMaxAbsGain(f, cfg),
 		stats:    initStats,
 	}
+	for u := 0; u < n; u++ {
+		if cfg.Pinned != nil && cfg.Pinned[u] || active != nil && !active[u] {
+			continue
+		}
+		opt.fillEdges += adjacency(f, graph.NodeID(u))
+	}
 	passes := 0
 	for passes < maxPasses {
 		passes++
@@ -122,11 +128,12 @@ func partitionFrozen(f *graph.Frozen, init graph.Partition, initStats graph.CutS
 		Partition: p,
 		Objective: int64(opt.stats.CrossFriendships)*cfg.FriendWeight -
 			int64(opt.stats.RejIntoSuspect)*cfg.RejectWeight,
-		Stats:     opt.stats,
-		Passes:    passes,
-		Switches:  opt.switches,
-		Rollbacks: opt.rollbacks,
-		PassGains: ws.gains,
+		Stats:        opt.stats,
+		Passes:       passes,
+		Switches:     opt.switches,
+		Rollbacks:    opt.rollbacks,
+		EdgesScanned: opt.edges,
+		PassGains:    ws.gains,
 	}
 }
 
@@ -167,10 +174,16 @@ type frozenOptimizer struct {
 	// optimizer's so the parity tests can pin them field for field.
 	switches  int
 	rollbacks int
+	// fillEdges is the adjacency a pass walks to initialize the gains of
+	// the nodes it enters into the bucket structure — the same every pass —
+	// and edges the running total of Result.EdgesScanned.
+	fillEdges int64
+	edges     int64
 }
 
 // pass performs one KL improvement pass over p in place, mirroring
-// (*optimizer).pass step for step on the snapshot. Whenever the gain range
+// (*optimizer).pass step for step on the snapshot — including where it
+// stops (see Prefix). Whenever the gain range
 // is one bucketlist.New would serve with the dense implementation — every
 // realistic configuration — the pass runs on the workspace's specialized
 // denseBuckets structure (same tie-break order, cache-packed layout, no
@@ -180,6 +193,7 @@ func (o *frozenOptimizer) pass(p graph.Partition) bool {
 	n := f.NumNodes()
 
 	seq := o.ws.seq[:0]
+	var best Prefix
 	if bucketlist.PrefersDense(-o.maxAbs, o.maxAbs) {
 		d := o.ws.dense
 		if d == nil {
@@ -199,13 +213,17 @@ func (o *frozenOptimizer) pass(p graph.Partition) bool {
 				d.add(int32(u), o.gain(p, graph.NodeID(u)))
 			}
 		}
+		best = NewPrefix(d.size)
 		for {
 			u, gu, ok := d.popMax()
 			if !ok || cfg.Greedy && gu <= 0 {
 				break
 			}
-			seq = append(seq, wsStep{node: graph.NodeID(u), gain: gu})
+			seq = append(seq, wsStep{node: graph.NodeID(u)})
 			o.applySwitchDense(p, graph.NodeID(u), d, &seq[len(seq)-1])
+			if best.Step(gu) {
+				break
+			}
 		}
 	} else {
 		list := bucketlist.Renew(o.ws.list, n, -o.maxAbs, o.maxAbs)
@@ -216,33 +234,31 @@ func (o *frozenOptimizer) pass(p graph.Partition) bool {
 			}
 			list.Add(u, o.gain(p, graph.NodeID(u)))
 		}
+		best = NewPrefix(list.Len())
 		for {
 			u, gu, ok := list.PopMax()
 			if !ok || cfg.Greedy && gu <= 0 {
 				break
 			}
-			seq = append(seq, wsStep{node: graph.NodeID(u), gain: gu})
+			seq = append(seq, wsStep{node: graph.NodeID(u)})
 			o.applySwitch(p, graph.NodeID(u), list, &seq[len(seq)-1])
+			if best.Step(gu) {
+				break
+			}
 		}
 	}
 	o.ws.seq = seq
 
-	var cum, bestCum int64
-	bestLen := 0
-	for i := range seq {
-		cum += seq[i].gain
-		if cum > bestCum {
-			bestCum, bestLen = cum, i+1
-		}
-	}
-	rollFrom := bestLen
-	if bestCum <= 0 {
-		rollFrom = 0 // no improving prefix: roll back everything
-	}
+	// Roll back to the best prefix; with no improving prefix best.Len is
+	// zero and everything is undone.
 	o.switches += len(seq)
-	o.rollbacks += len(seq) - rollFrom
-	o.ws.gains = append(o.ws.gains, bestCum)
-	for i := rollFrom; i < len(seq); i++ {
+	o.rollbacks += len(seq) - best.Len
+	o.ws.gains = append(o.ws.gains, best.Gain)
+	o.edges += o.fillEdges
+	for i := range seq {
+		o.edges += adjacency(f, seq[i].node)
+	}
+	for i := best.Len; i < len(seq); i++ {
 		st := &seq[i]
 		p[st.node] = p[st.node].Other()
 		o.stats.CrossFriendships -= int(st.dCross)
@@ -251,7 +267,14 @@ func (o *frozenOptimizer) pass(p graph.Partition) bool {
 		o.stats.SuspectSize -= int(st.dSusp)
 		o.stats.LegitSize += int(st.dSusp)
 	}
-	return bestCum > 0
+	return best.Gain > 0
+}
+
+// adjacency is the number of CSR entries a gain computation or a switch of
+// u walks: its friends, the users it rejected and the users that rejected
+// it.
+func adjacency(f *graph.Frozen, u graph.NodeID) int64 {
+	return int64(f.Degree(u) + f.OutRejections(u) + f.InRejections(u))
 }
 
 // gain computes (*optimizer).gain on the snapshot, in counting form: each

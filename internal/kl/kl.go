@@ -57,6 +57,11 @@ type Result struct {
 	// nothing — they exist for the observability layer (obs.EvSolveDone).
 	Switches  int
 	Rollbacks int
+	// EdgesScanned is the number of adjacency entries the solve walked:
+	// per pass, the gain initialization of every node entered into the
+	// bucket structure plus the adjacency of every node actually switched.
+	// Only PartitionFrozen/RefineFrozen report it.
+	EdgesScanned int64
 	// PassGains is the best-gain trajectory: the best cumulative
 	// objective reduction each pass found (the amount it kept after
 	// rollback). Its length equals Passes, and the final entry is ≤ 0
@@ -159,43 +164,34 @@ func (o *optimizer) pass(p graph.Partition) bool {
 		list.Add(u, o.gain(p, graph.NodeID(u)))
 	}
 
-	// Tentatively switch every free node in greedy max-gain order,
-	// recording the sequence (Algorithm 1 lines 7–15). p is mutated as the
-	// tentative p_tmp and rolled back below.
-	type step struct {
-		node graph.NodeID
-		gain int64
-	}
-	seq := make([]step, 0, list.Len())
+	// Tentatively switch free nodes in greedy max-gain order, recording
+	// the sequence (Algorithm 1 lines 7–15), until the list drains or the
+	// run of switches since the best prefix is fruitlessly long (see
+	// Prefix). p is mutated as the tentative p_tmp and rolled back below.
+	seq := make([]graph.NodeID, 0, list.Len())
+	best := NewPrefix(list.Len())
 	for {
 		u, gu, ok := list.PopMax()
 		if !ok {
 			break
 		}
-		seq = append(seq, step{node: graph.NodeID(u), gain: gu})
+		seq = append(seq, graph.NodeID(u))
 		o.applySwitch(p, graph.NodeID(u), list)
-	}
-
-	// Find the prefix with the largest positive cumulative gain
-	// (Algorithm 1 line 18). Ties take the shortest prefix.
-	var cum, bestCum int64
-	bestLen := 0
-	for i, st := range seq {
-		cum += st.gain
-		if cum > bestCum {
-			bestCum, bestLen = cum, i+1
+		if best.Step(gu) {
+			break
 		}
 	}
-	if bestCum <= 0 {
-		bestLen = 0 // no improving prefix: roll back everything
-	}
+
+	// Keep the prefix with the largest positive cumulative gain (Algorithm
+	// 1 line 18; ties take the shortest) and roll back the rest — all of
+	// it when no prefix improved.
 	o.switches += len(seq)
-	o.rollbacks += len(seq) - bestLen
-	o.passGains = append(o.passGains, bestCum)
-	for _, st := range seq[bestLen:] {
-		p[st.node] = p[st.node].Other()
+	o.rollbacks += len(seq) - best.Len
+	o.passGains = append(o.passGains, best.Gain)
+	for _, u := range seq[best.Len:] {
+		p[u] = p[u].Other()
 	}
-	return bestCum > 0
+	return best.Gain > 0
 }
 
 // gain returns the objective reduction achieved by switching u to the other

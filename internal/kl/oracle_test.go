@@ -3,6 +3,7 @@ package kl
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,11 +136,16 @@ func sweepRejectWeights() []int64 {
 //     gains add up to the difference;
 //   - the result is a single-switch local optimum whenever the solve
 //     converged (its last pass kept nothing);
-//   - Passes, PassGains and Switches − Rollbacks mean what Result says.
+//   - Passes, PassGains, Switches − Rollbacks and EdgesScanned mean what
+//     Result says.
 //
 // What is *not* guaranteed is the same local optimum as the full pass on a
 // larger graph; the test logs the distribution of the objective difference
-// so the size of that deviation is a measurement, not a claim.
+// so the size of that deviation is a measurement, not a claim. On these
+// worlds every difference is at k < 1, where the full pass walks the whole
+// planted region across the cut one node at a time to reach the trivial
+// all-one-side partition — a valley longer than the rule waits, ending in
+// a cut the MAAR sweep discards as invalid.
 func TestPassProperties(t *testing.T) {
 	worlds := 200
 	if testing.Short() {
@@ -147,7 +153,7 @@ func TestPassProperties(t *testing.T) {
 	}
 	weights := sweepRejectWeights()
 	ws := &Workspace{}
-	var solves, same, better, worse int
+	var solves, same, better, worse, worseAboveOne int
 	var relDiffs []float64
 	for w := 0; w < worlds; w++ {
 		r := rand.New(rand.NewPCG(uint64(w), 51))
@@ -159,6 +165,10 @@ func TestPassProperties(t *testing.T) {
 		}
 		g, init := plantedWorld(r, n)
 		f := g.Freeze()
+		initStats := f.Stats(init)
+		objective := func(s graph.CutStats, cfg Config) int64 {
+			return int64(s.CrossFriendships)*cfg.FriendWeight - int64(s.RejIntoSuspect)*cfg.RejectWeight
+		}
 		cfg := Config{FriendWeight: 64}
 		if w%4 == 0 {
 			cfg.Pinned = make([]bool, n)
@@ -176,23 +186,23 @@ func TestPassProperties(t *testing.T) {
 				slice := Partition(g, init, cfg)
 				if slice.Objective != got.Objective || slice.Stats != got.Stats ||
 					slice.Passes != got.Passes || slice.Switches != got.Switches ||
-					slice.Rollbacks != got.Rollbacks || !samePartition(slice.Partition, got.Partition) {
+					slice.Rollbacks != got.Rollbacks || !slices.Equal(slice.Partition, got.Partition) {
 					t.Fatalf("world %d n=%d wR=%d: slice and frozen engines diverge", w, n, wR)
 				}
 			}
 			if n <= 256 {
 				if got.Objective != want.Objective || got.Passes != want.Passes ||
 					got.Switches != want.Switches || got.Rollbacks != want.Rollbacks ||
-					!samePartition(got.Partition, want.Partition) {
+					!slices.Equal(got.Partition, want.Partition) {
 					t.Fatalf("world %d n=%d wR=%d: differs from the full pass below the floor", w, n, wR)
 				}
 			}
 
-			initObj := Objective(g, init, cfg)
+			initObj := objective(initStats, cfg)
 			if got.Objective > initObj {
 				t.Fatalf("world %d n=%d wR=%d: objective %d above initial %d", w, n, wR, got.Objective, initObj)
 			}
-			if got.Stats != f.Stats(got.Partition) || got.Objective != Objective(g, got.Partition, cfg) {
+			if got.Stats != f.Stats(got.Partition) || got.Objective != objective(got.Stats, cfg) {
 				t.Fatalf("world %d n=%d wR=%d: reported stats/objective do not match the partition", w, n, wR)
 			}
 			if len(got.PassGains) != got.Passes {
@@ -220,6 +230,16 @@ func TestPassProperties(t *testing.T) {
 				t.Fatalf("world %d n=%d wR=%d: %d switches − %d rollbacks cannot produce %d moved nodes",
 					w, n, wR, got.Switches, got.Rollbacks, moved)
 			}
+			// A pass walks the adjacency of every free node once to fill the
+			// bucket list and again for each node it switches: a full pass
+			// over an unpinned graph is two walks of the CSR arrays, a pass
+			// that ended early between one and two.
+			walk := int64(got.Passes) * int64(2*g.NumFriendships()+2*g.NumRejections())
+			if cfg.Pinned == nil && (got.EdgesScanned < walk || got.EdgesScanned > 2*walk ||
+				n <= 256 && got.EdgesScanned != 2*walk) {
+				t.Fatalf("world %d n=%d wR=%d: %d edges scanned over %d passes of a %d-entry graph",
+					w, n, wR, got.EdgesScanned, got.Passes, walk/int64(got.Passes))
+			}
 			if got.PassGains[got.Passes-1] <= 0 {
 				o := frozenOptimizer{f: f, cfg: cfg}
 				for u := 0; u < n; u++ {
@@ -242,6 +262,9 @@ func TestPassProperties(t *testing.T) {
 				better++
 			default:
 				worse++
+				if wR > cfg.FriendWeight {
+					worseAboveOne++
+				}
 			}
 			if scale := initObj - want.Objective; scale > 0 {
 				relDiffs = append(relDiffs, float64(got.Objective-want.Objective)/float64(scale))
@@ -250,19 +273,8 @@ func TestPassProperties(t *testing.T) {
 	}
 	sort.Float64s(relDiffs)
 	q := func(p float64) float64 { return relDiffs[int(p*float64(len(relDiffs)-1))] }
-	t.Logf("%d solves: objective equal to the full pass in %d, lower in %d, higher in %d", solves, same, better, worse)
+	t.Logf("%d solves: objective equal to the full pass in %d, lower in %d, higher in %d (%d of those at k > 1)",
+		solves, same, better, worse, worseAboveOne)
 	t.Logf("(objective − full-pass objective) / full-pass improvement: min %.4f p01 %.4f p10 %.4f p50 %.4f p90 %.4f p99 %.4f max %.4f",
 		relDiffs[0], q(0.01), q(0.10), q(0.50), q(0.90), q(0.99), relDiffs[len(relDiffs)-1])
-}
-
-func samePartition(a, b graph.Partition) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

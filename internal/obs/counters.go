@@ -21,10 +21,12 @@ type PipelineCounters struct {
 	// KLPasses is the cumulative number of KL improvement passes.
 	KLPasses *expvar.Int
 	// EdgesScanned is the cumulative number of adjacency entries walked
-	// by KL passes: each pass visits every CSR adjacency entry once to
-	// initialize gains and once while switching, so a solve adds
-	// passes × 2 × (2·|F| + 2·|R|). Exact for unpinned graphs, a slight
-	// overcount when seeds pin nodes out of the switching loop.
+	// by the KL passes of flat sweeps (kl.Result.EdgesScanned): per pass,
+	// the adjacency of every node whose gain the pass initializes — all
+	// but the pinned — plus the adjacency of every node it actually
+	// switches before the pass ends. A full pass would make that
+	// 2 × (2·|F| + 2·|R|); a pass that stops after a fruitless run walks
+	// the first term and a small part of the second.
 	EdgesScanned *expvar.Int
 	// WorkspaceReuse counts KL solves that reused an already-warm
 	// kl.Workspace — the sweeps' zero-allocation steady state. The first
