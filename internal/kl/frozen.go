@@ -24,8 +24,7 @@ type Workspace struct {
 
 // wsStep records one tentative switch of a KL pass: the node and the
 // switch's effect on the incremental cut statistics, so a rollback can
-// subtract it. (The gain the bucket list predicted goes straight into the
-// pass's Prefix.)
+// subtract it.
 type wsStep struct {
 	node   graph.NodeID
 	dCross int32 // delta CrossFriendships
@@ -183,11 +182,11 @@ type frozenOptimizer struct {
 
 // pass performs one KL improvement pass over p in place, mirroring
 // (*optimizer).pass step for step on the snapshot — including where it
-// stops (see Prefix). Whenever the gain range
-// is one bucketlist.New would serve with the dense implementation — every
-// realistic configuration — the pass runs on the workspace's specialized
-// denseBuckets structure (same tie-break order, cache-packed layout, no
-// interface dispatch); otherwise it falls back to the generic bucket list.
+// stops (see Prefix). Whenever the gain range is one bucketlist.New would
+// serve with the dense implementation — every realistic configuration —
+// the pass runs on the workspace's specialized denseBuckets structure
+// (same tie-break order, cache-packed layout, no interface dispatch);
+// otherwise it falls back to the generic bucket list.
 func (o *frozenOptimizer) pass(p graph.Partition) bool {
 	f, cfg := o.f, o.cfg
 	n := f.NumNodes()
