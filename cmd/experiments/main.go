@@ -109,7 +109,6 @@ func experiments() []experiment {
 		{"fig18", "Fig 13-15 sweeps on the six other graphs", runFig18},
 		{"table2", "distributed-engine scalability", runTable2},
 		{"incr", "incremental epochs: latency vs delta size, cold vs patched+warm", runIncr},
-		{"ml", "multilevel sweeps: flat vs coarsen/solve/refine latency across sizes and restarts", runML},
 		{"storage", "durability & recovery: restart shape by snapshot coverage, torn tails, crash storm", runStorage},
 		{"cluster", "multi-node sharded rejectod: single vs sharded epoch equality, shard scaling, per-shard timing", runCluster},
 		{"score", "real-time verdicts vs batch-only: precision/recall on a post-epoch spam wave", runScore},

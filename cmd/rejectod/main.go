@@ -259,7 +259,7 @@ func run() int {
 	if err != nil {
 		return fail("listening: %v", err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	fmt.Printf("rejectod listening on %s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)
@@ -297,6 +297,27 @@ func run() int {
 	}
 	fmt.Println("rejectod: drained cleanly")
 	return 0
+}
+
+// Connection deadlines. A client that stops sending halfway through its
+// request header loses the connection after readHeaderTimeout instead of
+// holding it, a goroutine and a pooled buffer forever; an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no
+// whole-request read timeout: a large POST /v1/events body may take as
+// long as its sender needs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server carrying the
+// connection deadlines above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func fail(format string, args ...any) int {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -336,5 +337,45 @@ func TestInterruptedDetectionExits130(t *testing.T) {
 	}
 	if !strings.Contains(d.outputString(), "interrupted") {
 		t.Fatalf("missing interruption notice; output:\n%s", d.outputString())
+	}
+}
+
+// TestSlowHeaderClientIsDisconnected: a client that sends a request line
+// and then nothing must lose its connection once the header deadline
+// passes, rather than holding it open indefinitely.
+func TestSlowHeaderClientIsDisconnected(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newHTTPServer(http.NotFoundHandler())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve(ln) // returns ErrServerClosed once Close runs
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-served
+	})
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/events HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	limit := readHeaderTimeout + time.Second
+	if err := conn.SetReadDeadline(start.Add(limit)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(make([]byte, 1))
+	if err != io.EOF {
+		t.Fatalf("read %d bytes, err %v after %v; want the server to close the connection within %v",
+			n, err, time.Since(start).Round(time.Millisecond), limit)
 	}
 }

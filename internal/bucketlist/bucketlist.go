@@ -54,18 +54,14 @@ func PrefersDense(minGain, maxGain int64) bool {
 
 // New returns a List for nodes in [0, n) whose gains stay within
 // [minGain, maxGain]. It selects the dense implementation when the gain
-// range is affordable (at most denseRangeLimit buckets); otherwise the
-// scanning one when the node count is small (at most scanNodeLimit), and
-// the sparse one past that.
+// range is affordable (at most denseRangeLimit buckets) and the sparse one
+// otherwise.
 func New(n int, minGain, maxGain int64) List {
 	if maxGain < minGain {
 		panic("bucketlist: maxGain < minGain")
 	}
 	if PrefersDense(minGain, maxGain) {
 		return NewDense(n, minGain, maxGain)
-	}
-	if n <= scanNodeLimit {
-		return NewScan(n)
 	}
 	return NewSparse(n)
 }
@@ -86,13 +82,8 @@ func Renew(l List, n int, minGain, maxGain int64) List {
 			impl.Reset(minGain, maxGain)
 			return impl
 		}
-	case *Scan:
-		if !dense && n <= scanNodeLimit && len(impl.gain) == n {
-			impl.Reset(minGain, maxGain)
-			return impl
-		}
 	case *Sparse:
-		if !dense && n > scanNodeLimit && len(impl.in) == n {
+		if !dense && len(impl.in) == n {
 			impl.Reset(minGain, maxGain)
 			return impl
 		}

@@ -10,7 +10,6 @@ import (
 func implementations(n int, minG, maxG int64) map[string]List {
 	return map[string]List{
 		"dense":  NewDense(n, minG, maxG),
-		"scan":   NewScan(n),
 		"sparse": NewSparse(n),
 	}
 }
@@ -143,29 +142,20 @@ func TestNewSelectsImplementation(t *testing.T) {
 	if _, ok := New(4, -100, 100).(*Dense); !ok {
 		t.Error("small range should select Dense")
 	}
-	if _, ok := New(4, -(1 << 40), 1<<40).(*Scan); !ok {
-		t.Error("huge range on a small node count should select Scan")
+	if _, ok := New(4, -(1 << 40), 1<<40).(*Sparse); !ok {
+		t.Error("huge range on a small node count should select Sparse")
 	}
-	if _, ok := New(scanNodeLimit+1, -(1 << 40), 1<<40).(*Sparse); !ok {
+	if _, ok := New(1<<13, -(1 << 40), 1<<40).(*Sparse); !ok {
 		t.Error("huge range on a large node count should select Sparse")
 	}
 }
 
-// TestCrossImplementation runs a random op sequence against Dense and each
-// other implementation and checks they agree on every observable.
+// TestCrossImplementation runs a random op sequence against Dense and
+// Sparse and checks they agree on every observable.
 func TestCrossImplementation(t *testing.T) {
-	const n = 64
-	for _, other := range []struct {
-		name string
-		mk   func() List
-	}{
-		{"sparse", func() List { return NewSparse(n) }},
-		{"scan", func() List { return NewScan(n) }},
-	} {
-		t.Run(other.name, func(t *testing.T) {
-			crossCheck(t, other.mk)
-		})
-	}
+	t.Run("sparse", func(t *testing.T) {
+		crossCheck(t, func() List { return NewSparse(64) })
+	})
 }
 
 func crossCheck(t *testing.T, mk func() List) {
@@ -249,7 +239,7 @@ func TestResetEquivalentToFresh(t *testing.T) {
 	const n = 48
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 12))
-		dirty := []List{NewDense(n, -30, 30), NewScan(n), NewSparse(n)}
+		dirty := []List{NewDense(n, -30, 30), NewSparse(n)}
 		for i := 0; i < 40; i++ {
 			node, gain := r.IntN(n), int64(r.IntN(61)-30)
 			if !dirty[0].Contains(node) {
@@ -269,7 +259,7 @@ func TestResetEquivalentToFresh(t *testing.T) {
 			l.Reset(lo, hi)
 		}
 
-		fresh := []List{NewDense(n, lo, hi), NewScan(n), NewSparse(n)}
+		fresh := []List{NewDense(n, lo, hi), NewSparse(n)}
 		for i := 0; i < n; i++ {
 			gain := int64(r.IntN(int(hi-lo+1))) + lo
 			for _, l := range dirty {
@@ -324,27 +314,23 @@ func TestRenew(t *testing.T) {
 	if _, ok := Renew(d, 9, -10, 10).(*Dense); !ok {
 		t.Error("Renew with different n should build a fresh Dense")
 	}
-	if _, ok := Renew(d, 8, -(1 << 40), 1<<40).(*Scan); !ok {
-		t.Error("Renew with a huge range on small n should switch to Scan")
+	sp := Renew(d, 8, -(1 << 40), 1<<40)
+	if _, ok := sp.(*Sparse); !ok {
+		t.Error("Renew with a huge range should switch to Sparse")
 	}
-	sc := NewScan(8)
-	sc.Add(1, 1<<30)
-	if got := Renew(sc, 8, -(1<<40), 1<<40); got != List(sc) {
-		t.Error("Renew did not reuse a compatible Scan list")
-	} else if got.Len() != 0 {
-		t.Error("Renew did not reset the reused Scan list")
-	}
-	if _, ok := Renew(sc, 8, -10, 10).(*Dense); !ok {
-		t.Error("Renew with a small range should switch to Dense")
-	}
-	big := scanNodeLimit + 1
-	s := NewSparse(big)
-	s.Add(1, 1<<30)
-	if got := Renew(s, big, -(1<<40), 1<<40); got != List(s) {
+	sp.Add(1, 1<<30)
+	if got := Renew(sp, 8, -(1 << 40), 1<<40); got != sp {
 		t.Error("Renew did not reuse a compatible Sparse list")
+	} else if got.Len() != 0 {
+		t.Error("Renew did not reset the reused Sparse list")
 	}
-	if _, ok := Renew(sc, big, -(1<<40), 1<<40).(*Sparse); !ok {
-		t.Error("Renew with a huge range past scanNodeLimit should switch to Sparse")
+	if got := Renew(sp, 9, -(1 << 40), 1<<40); got == sp {
+		t.Error("Renew reused a Sparse list of the wrong capacity")
+	} else if _, ok := got.(*Sparse); !ok {
+		t.Error("Renew with different n should build a fresh Sparse")
+	}
+	if _, ok := Renew(sp, 8, -10, 10).(*Dense); !ok {
+		t.Error("Renew with a small range should switch to Dense")
 	}
 	if _, ok := Renew(nil, 8, -10, 10).(*Dense); !ok {
 		t.Error("Renew(nil) should construct a list")

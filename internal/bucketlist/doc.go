@@ -7,26 +7,21 @@
 // "which free node has the maximum gain?" in amortized constant time. The
 // paper's Algorithm 1 calls this structure nodeGainList.
 //
-// Three implementations are provided behind the List interface:
+// Two implementations are provided behind the List interface:
 //
 //   - Dense: the classic FM array of doubly-linked lists with a moving
 //     max-gain pointer. O(1) operations, memory proportional to the gain
-//     range. Used when the range is bounded (on unweighted snapshots it
-//     always is: gains are fixed-point integers bounded by max weighted
-//     degree).
-//   - Scan: flat per-node arrays with a bitmap PopMax scan. O(1)
-//     mutations, O(present) PopMax, no memory tied to the gain range.
-//     Used when the range is too wide for Dense but the node count is
-//     small — the shape weighted coarse graphs from the multilevel ladder
-//     produce, where pooled edge multiplicities blow up the gain range
-//     while the node count shrinks toward the coarsest bound.
+//     range. Used whenever the range is at most 2²² buckets — every
+//     realistic configuration, since gains are fixed-point integers
+//     bounded by a node's weighted degree.
 //   - Sparse: a map from gain to bucket plus a lazy max-heap of occupied
 //     gains. O(log B) operations where B is the number of distinct gains,
-//     memory proportional to occupancy. Used for extreme gain ranges on
-//     node counts too large for Scan.
+//     memory proportional to occupancy. Used for wider ranges, which on the
+//     default k grid take a node with about a thousand rejections.
 //
-// New picks between them based on the declared gain range and node count.
-// The implementations are cross-checked by property tests: identical
-// insertion, update, and LIFO max-pop order, so the KL engines' results
-// do not depend on which one serves a solve.
+// New picks between them on the declared gain range alone. The two are
+// cross-checked by property tests: the same maximum gain on every pop,
+// and the same pop sequence after Reset as a fresh list. Every KL engine
+// selects its list the same way (PrefersDense), so engines compared
+// against each other always run on the same implementation.
 package bucketlist

@@ -41,8 +41,8 @@ func FindMAARCut(g *graph.Graph, opts CutOptions) (Cut, bool) {
 // opts.Parallelism workers; each worker reuses one kl.Workspace and keeps
 // only its best candidate, so steady-state jobs perform no allocations.
 // The reduction is deterministic regardless of completion order or worker
-// count, and the returned cut is identical to the seed slice-of-slices
-// implementation's.
+// count, and the tests hold the returned cut byte for byte to the slice
+// engine's sweep they keep as an oracle.
 func FindMAARCutFrozen(f *graph.Frozen, opts CutOptions) (Cut, bool) {
 	opts = opts.WithDefaults()
 	if err := opts.validate(f.NumNodes()); err != nil {
@@ -65,23 +65,6 @@ func FindMAARCutFrozen(f *graph.Frozen, opts CutOptions) (Cut, bool) {
 		initStats[i] = f.Stats(init)
 	}
 
-	// The ladder amortises one coarsening and one quality gate over the
-	// inits of a sweep. At one init — every warm round, every sweep
-	// without restarts — the gate alone costs what the whole flat sweep
-	// costs, so the ladder is entered only where it can pay (DESIGN.md §12).
-	if opts.Multilevel && len(inits) > 1 {
-		if cut, ok, done := findMAARCutMultilevel(f, opts, pinned, inits, initStats, jobs); done {
-			return cut, ok
-		}
-		// The ladder did not coarsen, or the quality gate rejected the
-		// refined winner: re-run the sweep flat, cold.
-	}
-	return flatSweepFrozen(f, opts, pinned, inits, initStats, jobs)
-}
-
-// flatSweepFrozen runs the full-resolution (k, init) sweep — the reference
-// path every other sweep mode gates against.
-func flatSweepFrozen(f *graph.Frozen, opts CutOptions, pinned []bool, inits []graph.Partition, initStats []graph.CutStats, jobs []sweepJob) (Cut, bool) {
 	// Tracing and counters. A nil tracer keeps the sweep clock-free and
 	// allocation-identical; the expvar counters below are always live but
 	// tick per solve (a handful of atomic adds), never per edge.
@@ -230,12 +213,9 @@ func flatSweepFrozen(f *graph.Frozen, opts CutOptions, pinned []bool, inits []gr
 	return final.cut, final.found
 }
 
-// sweepJob is one independent KL solve of the sweep. kIdx is the dense
-// index of the job's grid point among those that survived weight rounding
-// — the multilevel sweep groups candidates by it.
+// sweepJob is one independent KL solve of the sweep.
 type sweepJob struct {
 	initIdx int
-	kIdx    int
 	k       float64
 	wR      int64
 }
@@ -245,95 +225,15 @@ type sweepJob struct {
 func sweepJobs(opts CutOptions, numInits int) []sweepJob {
 	grid := opts.KGrid()
 	jobs := make([]sweepJob, 0, len(grid)*numInits)
-	kIdx := 0
 	for _, k := range grid {
 		wR := int64(math.Round(k * float64(opts.WeightScale)))
 		if wR >= 1 {
 			for i := 0; i < numInits; i++ {
-				jobs = append(jobs, sweepJob{initIdx: i, kIdx: kIdx, k: k, wR: wR})
+				jobs = append(jobs, sweepJob{initIdx: i, k: k, wR: wR})
 			}
-			kIdx++
 		}
 	}
 	return jobs
-}
-
-// findMAARCutOnSlices is the seed implementation of the sweep, running
-// extended KL directly on the mutable slice-of-slices graph and re-walking
-// every edge to score each candidate. It is retained as the correctness
-// bar: the property tests and BenchmarkFindMAARCut assert that the frozen
-// engine returns byte-identical cuts.
-func findMAARCutOnSlices(g *graph.Graph, opts CutOptions) (Cut, bool) {
-	opts = opts.WithDefaults()
-	if err := opts.Validate(g); err != nil {
-		panic(err)
-	}
-	if g.NumRejections() == 0 || g.NumNodes() < 2 {
-		return Cut{}, false
-	}
-
-	pinned := pinnedSet(g.NumNodes(), opts.Seeds)
-	src := rng.New(opts.RandSeed)
-	inits := initialPartitions(g, opts, src.Stream("init"))
-	jobs := sweepJobs(opts, len(inits))
-
-	type candidate struct {
-		cut Cut
-		ok  bool
-	}
-	results := make([]candidate, len(jobs))
-	run := func(j int) {
-		jb := jobs[j]
-		cfg := kl.Config{
-			FriendWeight: opts.WeightScale,
-			RejectWeight: jb.wR,
-			Pinned:       pinned,
-			MaxPasses:    opts.MaxPasses,
-		}
-		res := kl.Partition(g, inits[jb.initIdx], cfg)
-		cut, ok := scoreCut(g, res.Partition, jb.k, opts.Seeds)
-		results[j] = candidate{cut: cut, ok: ok}
-	}
-
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for j := range jobs {
-			run(j)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range next {
-					run(j)
-				}
-			}()
-		}
-		for j := range jobs {
-			next <- j
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	best := Cut{Acceptance: math.Inf(1)}
-	found := false
-	for _, cand := range results {
-		if cand.ok && cand.cut.Acceptance < best.Acceptance {
-			best = cand.cut
-			found = true
-		}
-	}
-	return best, found
 }
 
 // orientCut evaluates the statistics of a converged partition as a MAAR
@@ -355,38 +255,6 @@ func orientCut(s graph.CutStats, seeds Seeds) (acc float64, mirrored, ok bool) {
 		}
 	}
 	return acc, mirrored, ok
-}
-
-// scoreCut evaluates a partition as a MAAR candidate by re-walking the
-// graph (the seed path; the frozen engine reads the statistics off the KL
-// result instead). When no seeds constrain orientation, it also scores the
-// mirrored cut and keeps the lower acceptance.
-func scoreCut(g *graph.Graph, p graph.Partition, k float64, seeds Seeds) (Cut, bool) {
-	s := p.Stats(g)
-	if s.Trivial() {
-		return Cut{}, false
-	}
-	best := Cut{}
-	found := false
-	if s.RejIntoSuspect > 0 {
-		best = Cut{Partition: p, Stats: s, K: k, Acceptance: s.AcceptanceOfSuspect()}
-		found = true
-	}
-	if seeds.Empty() && s.RejIntoLegit > 0 {
-		if acc := s.AcceptanceOfLegit(); !found || acc < best.Acceptance {
-			best = Cut{Partition: mirror(p), Stats: mirrorStats(s), K: k, Acceptance: acc}
-			found = true
-		}
-	}
-	return best, found
-}
-
-func mirror(p graph.Partition) graph.Partition {
-	m := make(graph.Partition, len(p))
-	for i, r := range p {
-		m[i] = r.Other()
-	}
-	return m
 }
 
 func mirrorStats(s graph.CutStats) graph.CutStats {

@@ -7,14 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// benchCutWorld is a Table I-scale planted instance: 24000 legitimate users
-// with OSN-like degree (~12), 6000 fakes spraying requests at a 70%
-// rejection rate. Edges are inserted in shuffled arrival order, the way an
-// ingest pipeline receives them — not node by node, which would give the
-// mutable graph's per-node slices an unrealistically contiguous layout.
-func benchCutWorld() (*graph.Graph, CutOptions) {
+// benchCutWorld is a planted instance of nL legitimate users with
+// OSN-like degree (~12) and nF fakes spraying requests at a 70% rejection
+// rate; 24000/6000 is Table I scale. Edges are inserted in shuffled arrival
+// order, the way an ingest pipeline receives them — not node by node,
+// which would give the mutable graph's per-node slices an unrealistically
+// contiguous layout.
+func benchCutWorld(nL, nF int) (*graph.Graph, CutOptions) {
 	r := rand.New(rand.NewPCG(7, 99))
-	const nL, nF = 24000, 6000
 	type edge struct {
 		u, v graph.NodeID
 		rej  bool
@@ -59,7 +59,7 @@ func benchCutWorld() (*graph.Graph, CutOptions) {
 		}
 	}
 	// Serial sweep so ns/op compares engine cost, not scheduling.
-	opts := CutOptions{Parallelism: 1, Restarts: 1, RandSeed: 5}
+	opts := CutOptions{Parallelism: 1, RandSeed: 5}
 	return g, opts
 }
 
@@ -88,7 +88,9 @@ func assertSameCut(tb testing.TB, want, got Cut, okW, okG bool) {
 
 // TestFrozenSweepMatchesSeedSweep: FindMAARCutFrozen returns the identical
 // cut to the retained seed slice-of-slices sweep across randomized worlds,
-// with and without seeds, at serial and parallel settings.
+// with and without seeds, at serial and parallel settings. The "multilevel"
+// row pins the deprecated CutOptions.Multilevel as inert on a sweep with
+// more than one init, the only kind that ever entered the removed ladder.
 func TestFrozenSweepMatchesSeedSweep(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -98,6 +100,7 @@ func TestFrozenSweepMatchesSeedSweep(t *testing.T) {
 		{"parallel", CutOptions{Parallelism: 4, Restarts: 2, RandSeed: 3}},
 		{"seeded", CutOptions{Parallelism: 3, Restarts: 1, RandSeed: 9,
 			Seeds: plantedSeeds(300, 100, 4)}},
+		{"multilevel", CutOptions{Parallelism: 2, Restarts: 2, RandSeed: 3, Multilevel: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewPCG(17, 23))
@@ -116,7 +119,8 @@ func TestFrozenSweepMatchesSeedSweep(t *testing.T) {
 // that both return the identical cut. Run with -benchmem: the frozen
 // engine's point is ns/op and allocs/op together.
 func BenchmarkFindMAARCut(b *testing.B) {
-	g, opts := benchCutWorld()
+	g, opts := benchCutWorld(24000, 6000)
+	opts.Restarts = 1
 	f := g.Freeze()
 
 	want, okW := findMAARCutOnSlices(g, opts)
@@ -133,4 +137,35 @@ func BenchmarkFindMAARCut(b *testing.B) {
 			findMAARCutOnSlices(g, opts)
 		}
 	})
+}
+
+// BenchmarkMAARSweep times the frozen sweep on planted worlds across sizes
+// and restart counts, reporting the published acceptance as a metric.
+func BenchmarkMAARSweep(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		nL, nF   int
+		restarts int
+	}{
+		{"n=7500-r12", 6000, 1500, 12},
+		{"n=15000-r12", 12000, 3000, 12},
+		{"n=30000-r1", 24000, 6000, 1},
+		{"n=30000-r4", 24000, 6000, 4},
+		{"n=30000-r12", 24000, 6000, 12},
+	} {
+		g, opts := benchCutWorld(c.nL, c.nF)
+		f := g.Freeze()
+		opts.Restarts = c.restarts
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cut Cut
+			for i := 0; i < b.N; i++ {
+				var ok bool
+				if cut, ok = FindMAARCutFrozen(f, opts); !ok {
+					b.Fatalf("%s: sweep found no cut", c.name)
+				}
+			}
+			b.ReportMetric(cut.Acceptance, "acc")
+		})
+	}
 }

@@ -47,30 +47,12 @@ type CutOptions struct {
 	Parallelism int
 	// RandSeed makes the run reproducible. The zero value is a valid seed.
 	RandSeed uint64
-	// Multilevel runs a sweep with more than one initial partition
-	// (Restarts > 0 and no WarmInit) through the multilevel ladder (package
-	// ml); a one-init sweep runs flat whatever this says, because the
-	// ladder's coarsening and quality gate are per-sweep costs that only
-	// pay when amortised over several inits (DESIGN.md §12). In the ladder
-	// the residual is coarsened once by heavy-edge matching (rejection-
-	// preserving pairs preferred, rejection-connected ones contracted only
-	// as a last resort), every (k, init) job is scored by a KL solve on the
-	// small coarsest graph — contraction is exact, so coarse acceptances
-	// are true fine-graph acceptances — and a shortlist of the best ks
-	// (plus ties) is refined back down the ladder, once per distinct coarse
-	// partition. A quality gate then solves a capped set of flat reference
-	// jobs at the refined and neighbouring ks and falls back to the full
-	// flat sweep (emitting obs.EvMLFallback) if any reference found a
-	// strictly better acceptance, so enabling Multilevel can change which
-	// near-tie cut is published but never publishes a cut the gate's flat
-	// references beat.
+	// Multilevel has no effect: every sweep runs flat.
+	//
+	// Deprecated: the multilevel ladder it selected is removed. Only the
+	// frozen benchmark module (bench/) still sets it. Drop it there, then
+	// delete the field (ROADMAP item 1(g)).
 	Multilevel bool
-	// MLCoarsestNodes bounds the coarsest level's node count (zero means
-	// ml.DefaultCoarsestNodes); MLMaxLevels caps the ladder depth including
-	// level 0 (zero means ml.DefaultMaxLevels). Only read when Multilevel
-	// is set.
-	MLCoarsestNodes int
-	MLMaxLevels     int
 	// WarmInit, when non-nil, replaces the standard initial partitions
 	// (acceptance heuristic plus Restarts random starts) with this single
 	// partition: every (k, init) job starts KL from it, with seeds still
@@ -160,12 +142,6 @@ func (o CutOptions) validate(numNodes int) error {
 	}
 	if o.Restarts < 0 {
 		return fmt.Errorf("core: negative Restarts %d", o.Restarts)
-	}
-	if o.MLCoarsestNodes < 0 {
-		return fmt.Errorf("core: negative MLCoarsestNodes %d", o.MLCoarsestNodes)
-	}
-	if o.MLMaxLevels < 0 {
-		return fmt.Errorf("core: negative MLMaxLevels %d", o.MLMaxLevels)
 	}
 	if o.WarmInit != nil && len(o.WarmInit) != numNodes {
 		return fmt.Errorf("core: WarmInit length %d != %d nodes", len(o.WarmInit), numNodes)

@@ -7,4 +7,9 @@
 // user u rejected, ignored, or reported a friend request sent by user v.
 // Multiple rejections between the same ordered pair collapse into a single
 // edge, exactly as the paper models them.
+//
+// Graph is the mutable form; Frozen is the immutable CSR snapshot every
+// detection runs on. Every edge of either carries unit weight: the KL
+// objective's friendship and rejection weights live in kl.Config, not in
+// the graph.
 package graph

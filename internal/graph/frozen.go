@@ -28,14 +28,6 @@ type Frozen struct {
 	rejOutOff []int32 // len n+1; users u rejected (edges ⟨u, x⟩)
 	rejOutDst []NodeID
 
-	// Optional per-edge multiplicities, parallel to the adjacency arrays.
-	// nil on everything Freeze produces (implicit unit weights); non-nil on
-	// the coarse snapshots Contract builds for the multilevel partitioner.
-	// Either all three are set or none is. See weighted.go.
-	friendW []int32
-	rejInW  []int32
-	rejOutW []int32
-
 	numFriendships int // |F| (distinct links; see NumFriendships)
 	numRejections  int // |R⃗| (distinct directed edges)
 }
@@ -147,17 +139,8 @@ func (f *Frozen) HasRejection(from, to NodeID) bool {
 }
 
 // Acceptance returns u's individual request acceptance estimate f/(f+r);
-// see (*Graph).Acceptance. On weighted snapshots the estimate counts fine
-// edges through the multiplicities, so a supernode's acceptance equals the
-// pooled acceptance of its members.
+// see (*Graph).Acceptance.
 func (f *Frozen) Acceptance(u NodeID) float64 {
-	if f.Weighted() {
-		fr, r := f.WeightedDegree(u), f.WeightedInRejections(u)
-		if fr+r == 0 {
-			return 1
-		}
-		return float64(fr) / float64(fr+r)
-	}
 	fr, r := f.Degree(u), f.InRejections(u)
 	if fr+r == 0 {
 		return 1
@@ -186,15 +169,11 @@ func (f *Frozen) ForEachRejection(fn func(from, to NodeID)) {
 }
 
 // Stats computes the cut statistics of partition p over the snapshot,
-// exactly as Partition.Stats does over the mutable graph. On weighted
-// snapshots every edge counts its multiplicity (see weighted.go).
+// exactly as Partition.Stats does over the mutable graph.
 // p must have length f.NumNodes().
 func (f *Frozen) Stats(p Partition) CutStats {
 	if len(p) != f.NumNodes() {
 		panic("graph: partition length mismatch")
-	}
-	if f.Weighted() {
-		return f.statsWeighted(p)
 	}
 	var s CutStats
 	for u, r := range p {
@@ -235,9 +214,6 @@ func (f *Frozen) Subgraph(keep []bool) (sub *Frozen, origIDs []NodeID) {
 	n := f.NumNodes()
 	if len(keep) != n {
 		panic("graph: Subgraph keep length mismatch")
-	}
-	if f.Weighted() {
-		panic("graph: Subgraph of a weighted (contracted) snapshot")
 	}
 	newID := make([]NodeID, n)
 	kept := 0

@@ -2,7 +2,7 @@ package graph
 
 import "fmt"
 
-// FrozenParts is the raw CSR representation of an unweighted Frozen,
+// FrozenParts is the raw CSR representation of a Frozen,
 // exposed so the binary snapshot codec (internal/graphio) can serialize a
 // snapshot without re-deriving the arrays edge by edge. The slices alias
 // the snapshot's storage: callers must treat them as read-only.
@@ -22,12 +22,8 @@ type FrozenParts struct {
 	NumRejections  int
 }
 
-// Parts returns f's raw CSR arrays. It panics on weighted (contracted)
-// snapshots — those are transient solver state and are never persisted.
+// Parts returns f's raw CSR arrays.
 func (f *Frozen) Parts() FrozenParts {
-	if f.Weighted() {
-		panic("graph: Parts of a weighted (contracted) snapshot")
-	}
 	return FrozenParts{
 		FriendOff: f.friendOff, FriendDst: f.friendDst,
 		RejInOff: f.rejInOff, RejInSrc: f.rejInSrc,

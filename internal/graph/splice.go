@@ -27,9 +27,6 @@ func (f *Frozen) SpliceCanonical(newNodes int, friendships, rejections [][2]Node
 	if newNodes < 0 {
 		panic(fmt.Sprintf("graph: negative newNodes %d", newNodes))
 	}
-	if f.Weighted() {
-		panic("graph: SpliceCanonical on a weighted (contracted) snapshot")
-	}
 	nOld := f.NumNodes()
 	n := nOld + newNodes
 	check := func(e [2]NodeID, kind string) {

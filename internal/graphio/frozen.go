@@ -30,9 +30,6 @@ import (
 //	friendDst  2·nFriend × uint32
 //	rejInSrc   nRej × uint32
 //	rejOutDst  nRej × uint32
-//
-// Weighted (contracted) snapshots are transient solver state and are
-// rejected by WriteFrozen.
 
 var frozenMagic = [8]byte{'R', 'E', 'J', 'F', 'R', 'Z', 'N', '1'}
 
@@ -42,9 +39,6 @@ const frozenVersion = 1
 
 // WriteFrozen serializes f in the versioned binary snapshot format.
 func WriteFrozen(w io.Writer, f *graph.Frozen) error {
-	if f.Weighted() {
-		return fmt.Errorf("graphio: refusing to serialize a weighted (contracted) snapshot")
-	}
 	p := f.Parts()
 	hdr := make([]byte, 8+16)
 	copy(hdr, frozenMagic[:])

@@ -75,22 +75,6 @@ func TestFrozenReadsExactBytes(t *testing.T) {
 	}
 }
 
-// TestFrozenRejectsWeighted: contracted (weighted) snapshots are transient
-// solver state, never persisted.
-func TestFrozenRejectsWeighted(t *testing.T) {
-	g := graph.New(4)
-	g.AddFriendship(0, 1)
-	g.AddFriendship(2, 3)
-	g.AddRejection(0, 2)
-	coarse := g.FreezeCanonical().Contract([]graph.NodeID{0, 0, 1, 1}, 2)
-	if !coarse.Weighted() {
-		t.Fatal("Contract did not produce a weighted snapshot")
-	}
-	if err := WriteFrozen(io.Discard, coarse); err == nil {
-		t.Fatal("weighted snapshot serialized without error")
-	}
-}
-
 // TestFrozenRejectsCorruption flips each byte of an encoding and demands
 // either a decode error or an Equal result (a flip in padding that cannot
 // change meaning does not exist in this dense format — but a flipped bit

@@ -22,8 +22,8 @@ import "math/bits"
 //     range is much wider than the node count — into word-at-a-time skips.
 //
 // It is not an implementation of bucketlist.List: no panics, no bounds
-// checks, int32 everywhere. The generic interface remains the seed path's
-// and the fallback for gain ranges too wide for dense buckets.
+// checks, int32 everywhere. The generic interface remains the pass's
+// fallback for gain ranges too wide for dense buckets.
 type denseBuckets struct {
 	minGain   int32
 	heads     []int32  // heads[b] = first node of bucket b, or -1

@@ -29,4 +29,9 @@
 // the rule cannot fire and the pass is the paper's. The full pass survives
 // as the oracle of the package's property tests (oracle_test.go), which
 // also log how far the two ever differ.
+//
+// There is one pass implementation, PartitionFrozen's, on unit-weight CSR
+// snapshots (graph.Frozen). The slice engine it replaced — the same pass
+// on the mutable graph — lives on in the tests (slice_test.go) as the
+// oracle the frozen pass is held to byte for byte.
 package kl

@@ -33,13 +33,14 @@ type wsStep struct {
 	dSusp  int8  // delta SuspectSize (±1)
 }
 
-// PartitionFrozen runs extended KL on a CSR snapshot. It is byte-identical
-// to Partition on the graph the snapshot was frozen from — same partition,
-// objective, cut statistics, and pass count — but tracks the objective and
-// cut statistics incrementally as nodes switch (so Result.Stats costs no
-// final O(V+E) walk) and reuses ws across calls (so a warmed-up call
-// performs zero allocations; see BenchmarkPartitionFrozen and the
-// TestPartitionFrozenZeroAllocs guarantee).
+// PartitionFrozen runs extended KL on a CSR snapshot. It tracks the
+// objective and cut statistics incrementally as nodes switch (so
+// Result.Stats costs no final O(V+E) walk) and reuses ws across calls (so a
+// warmed-up call performs zero allocations; see BenchmarkPartitionFrozen
+// and the TestPartitionFrozenZeroAllocs guarantee). The tests hold it byte
+// for byte — partition, objective, statistics, passes — to the slice
+// engine they keep as an oracle, run on the graph the snapshot was frozen
+// from.
 //
 // ws may be nil, in which case a throwaway workspace is used. When ws is
 // non-nil the returned Result.Partition and Result.PassGains alias
@@ -47,7 +48,7 @@ type wsStep struct {
 // with the same ws, and callers keeping them longer must Clone/copy.
 func PartitionFrozen(f *graph.Frozen, init graph.Partition, cfg Config, ws *Workspace) Result {
 	checkFrozenArgs(f, init, cfg)
-	return partitionFrozen(f, init, f.Stats(init), cfg, nil, ws)
+	return partitionFrozen(f, init, f.Stats(init), cfg, ws)
 }
 
 // PartitionFrozenFromStats is PartitionFrozen for callers that already
@@ -57,7 +58,7 @@ func PartitionFrozen(f *graph.Frozen, init graph.Partition, cfg Config, ws *Work
 // f.Stats(init); everything else is as documented on PartitionFrozen.
 func PartitionFrozenFromStats(f *graph.Frozen, init graph.Partition, initStats graph.CutStats, cfg Config, ws *Workspace) Result {
 	checkFrozenArgs(f, init, cfg)
-	return partitionFrozen(f, init, initStats, cfg, nil, ws)
+	return partitionFrozen(f, init, initStats, cfg, ws)
 }
 
 func checkFrozenArgs(f *graph.Frozen, init graph.Partition, cfg Config) {
@@ -76,7 +77,7 @@ func checkFrozenArgs(f *graph.Frozen, init graph.Partition, cfg Config) {
 	}
 }
 
-func partitionFrozen(f *graph.Frozen, init graph.Partition, initStats graph.CutStats, cfg Config, active []bool, ws *Workspace) Result {
+func partitionFrozen(f *graph.Frozen, init graph.Partition, initStats graph.CutStats, cfg Config, ws *Workspace) Result {
 	n := f.NumNodes()
 	maxPasses := cfg.MaxPasses
 	if maxPasses == 0 {
@@ -102,16 +103,14 @@ func partitionFrozen(f *graph.Frozen, init graph.Partition, initStats graph.CutS
 	copy(p, init)
 
 	opt := frozenOptimizer{
-		f:        f,
-		cfg:      cfg,
-		ws:       ws,
-		active:   active,
-		weighted: f.Weighted(),
-		maxAbs:   frozenMaxAbsGain(f, cfg),
-		stats:    initStats,
+		f:      f,
+		cfg:    cfg,
+		ws:     ws,
+		maxAbs: frozenMaxAbsGain(f, cfg),
+		stats:  initStats,
 	}
 	for u := 0; u < n; u++ {
-		if cfg.Pinned != nil && cfg.Pinned[u] || active != nil && !active[u] {
+		if cfg.Pinned != nil && cfg.Pinned[u] {
 			continue
 		}
 		opt.fillEdges += adjacency(f, graph.NodeID(u))
@@ -136,12 +135,10 @@ func partitionFrozen(f *graph.Frozen, init graph.Partition, initStats graph.CutS
 	}
 }
 
-// frozenMaxAbsGain is maxAbsGain over a CSR snapshot. On weighted (coarse)
-// snapshots the bound is the weighted degree — see frozen_ml.go.
+// frozenMaxAbsGain bounds any node's switch gain by its weighted degree.
+// The bound depends only on degrees and weights — never on the partition —
+// so it is computed once per solve rather than once per pass.
 func frozenMaxAbsGain(f *graph.Frozen, cfg Config) int64 {
-	if f.Weighted() {
-		return frozenMaxAbsGainWeighted(f, cfg)
-	}
 	var maxAbs int64
 	for u := 0; u < f.NumNodes(); u++ {
 		wd := int64(f.Degree(graph.NodeID(u)))*cfg.FriendWeight +
@@ -154,23 +151,15 @@ func frozenMaxAbsGain(f *graph.Frozen, cfg Config) int64 {
 }
 
 type frozenOptimizer struct {
-	f   *graph.Frozen
-	cfg Config
-	ws  *Workspace
-	// active, when non-nil, restricts switching to the marked nodes: the
-	// others keep their init region and are never added to the bucket
-	// structure (RefineFrozen's boundary-only refinement). Inactive nodes
-	// still shape their neighbours' gains and the incremental statistics.
-	active []bool
-	// weighted dispatches the gain/switch kernels to their multiplicity-
-	// counting forms (frozen_ml.go); set once from f.Weighted().
-	weighted bool
-	maxAbs   int64
+	f      *graph.Frozen
+	cfg    Config
+	ws     *Workspace
+	maxAbs int64
 	// stats are the cut statistics of the current partition, updated on
 	// every tentative switch and rollback.
 	stats graph.CutStats
-	// Trace counters surfaced through Result; kept identical to the seed
-	// optimizer's so the parity tests can pin them field for field.
+	// Trace counters surfaced through Result; kept identical to the slice
+	// engine's so the parity tests can pin them field for field.
 	switches  int
 	rollbacks int
 	// fillEdges is the adjacency a pass walks to initialize the gains of
@@ -180,13 +169,13 @@ type frozenOptimizer struct {
 	edges     int64
 }
 
-// pass performs one KL improvement pass over p in place, mirroring
-// (*optimizer).pass step for step on the snapshot — including where it
-// stops (see Prefix). Whenever the gain range is one bucketlist.New would
-// serve with the dense implementation — every realistic configuration —
-// the pass runs on the workspace's specialized denseBuckets structure
-// (same tie-break order, cache-packed layout, no interface dispatch);
-// otherwise it falls back to the generic bucket list.
+// pass performs one KL improvement pass over p in place (Algorithm 1
+// lines 7–18), ending early after a fruitless run of switches (see
+// Prefix). Whenever the gain range is one bucketlist.New would serve with
+// the dense implementation — every realistic configuration — the pass runs
+// on the workspace's specialized denseBuckets structure (same tie-break
+// order, cache-packed layout, no interface dispatch); otherwise it falls
+// back to the generic bucket list, which New then makes a Sparse one.
 func (o *frozenOptimizer) pass(p graph.Partition) bool {
 	f, cfg := o.f, o.cfg
 	n := f.NumNodes()
@@ -200,22 +189,15 @@ func (o *frozenOptimizer) pass(p graph.Partition) bool {
 			o.ws.dense = d
 		}
 		d.reset(n, -o.maxAbs, o.maxAbs)
-		if cfg.Pinned == nil && o.active == nil {
-			for u := 0; u < n; u++ {
-				d.add(int32(u), o.gain(p, graph.NodeID(u)))
-			}
-		} else {
-			for u := 0; u < n; u++ {
-				if cfg.Pinned != nil && cfg.Pinned[u] || o.active != nil && !o.active[u] {
-					continue
-				}
+		for u := 0; u < n; u++ {
+			if cfg.Pinned == nil || !cfg.Pinned[u] {
 				d.add(int32(u), o.gain(p, graph.NodeID(u)))
 			}
 		}
 		best = NewPrefix(d.size)
 		for {
 			u, gu, ok := d.popMax()
-			if !ok || cfg.Greedy && gu <= 0 {
+			if !ok {
 				break
 			}
 			seq = append(seq, wsStep{node: graph.NodeID(u)})
@@ -228,15 +210,14 @@ func (o *frozenOptimizer) pass(p graph.Partition) bool {
 		list := bucketlist.Renew(o.ws.list, n, -o.maxAbs, o.maxAbs)
 		o.ws.list = list
 		for u := 0; u < n; u++ {
-			if cfg.Pinned != nil && cfg.Pinned[u] || o.active != nil && !o.active[u] {
-				continue
+			if cfg.Pinned == nil || !cfg.Pinned[u] {
+				list.Add(u, o.gain(p, graph.NodeID(u)))
 			}
-			list.Add(u, o.gain(p, graph.NodeID(u)))
 		}
 		best = NewPrefix(list.Len())
 		for {
 			u, gu, ok := list.PopMax()
-			if !ok || cfg.Greedy && gu <= 0 {
+			if !ok {
 				break
 			}
 			seq = append(seq, wsStep{node: graph.NodeID(u)})
@@ -276,15 +257,15 @@ func adjacency(f *graph.Frozen, u graph.NodeID) int64 {
 	return int64(f.Degree(u) + f.OutRejections(u) + f.InRejections(u))
 }
 
-// gain computes (*optimizer).gain on the snapshot, in counting form: each
-// adjacency walk tallies the neighbours matching its gating region — a
+// gain returns the objective reduction achieved by switching u to the
+// other region under partition p, in counting form: each adjacency walk
+// tallies the neighbours matching its gating region — a
 // compare-and-increment the compiler lowers without branches — and the
-// weights multiply the counts once at the end. The value is identical to
-// the seed's per-edge accumulation (integer arithmetic, same terms).
+// weights multiply the counts once at the end. A friendship adds w_F when
+// u and the friend are split and subtracts it when they share a region; a
+// rejection counts only from Legit into Suspect, so switching u gains or
+// loses w_R for each one whose count it changes.
 func (o *frozenOptimizer) gain(p graph.Partition, u graph.NodeID) int64 {
-	if o.weighted {
-		return o.gainWeighted(p, u)
-	}
 	f, cfg := o.f, o.cfg
 	pu := p[u]
 	friends := f.Friends(u)
@@ -314,16 +295,12 @@ func (o *frozenOptimizer) gain(p graph.Partition, u graph.NodeID) int64 {
 }
 
 // applySwitch flips u in p, updates the bucket-list gains of u's still-free
-// neighbours exactly as (*optimizer).applySwitch does, and — in the same
-// adjacency walk — accumulates the switch's effect on the cut statistics
-// into st and o.stats. Every friendship of u toggles its cross status;
-// every rejection incident to u moves between counted and uncounted
-// depending on the fixed endpoint's region.
+// neighbours (Algorithm 1 line 14), and — in the same adjacency walk —
+// accumulates the switch's effect on the cut statistics into st and
+// o.stats. Every friendship of u toggles its cross status; every rejection
+// incident to u moves between counted and uncounted depending on the fixed
+// endpoint's region.
 func (o *frozenOptimizer) applySwitch(p graph.Partition, u graph.NodeID, list bucketlist.List, st *wsStep) {
-	if o.weighted {
-		o.applySwitchWeighted(p, u, list, st)
-		return
-	}
 	f, cfg := o.f, o.cfg
 	oldPu := p[u]
 	newPu := oldPu.Other()
@@ -396,10 +373,6 @@ func (o *frozenOptimizer) applySwitch(p graph.Partition, u graph.NodeID, list bu
 // one of oldPu/newPu satisfies each Contrib's gating region. This is the
 // hottest loop of the whole sweep.
 func (o *frozenOptimizer) applySwitchDense(p graph.Partition, u graph.NodeID, d *denseBuckets, st *wsStep) {
-	if o.weighted {
-		o.applySwitchDenseWeighted(p, u, d, st)
-		return
-	}
 	f := o.f
 	wF2, wR := 2*o.cfg.FriendWeight, o.cfg.RejectWeight
 	oldPu := p[u]

@@ -2,64 +2,87 @@ package kl
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bucketlist"
 	"repro/internal/graph"
 )
 
 // TestPartitionFrozenMatchesSlicePath: on randomized graphs, configs, and
 // initial partitions — with and without pins — PartitionFrozen must return
 // the identical partition, objective, cut statistics, and pass count as the
-// seed slice-of-slices Partition.
+// slice engine. The "dense" rows run the workspace's specialized bucket
+// structure; the "generic" rows give one node at least 40 rejections and
+// w_R ≥ 2¹⁷, a gain range past the dense limit, so the pass falls back to
+// the generic bucket list.
 func TestPartitionFrozenMatchesSlicePath(t *testing.T) {
-	ws := &Workspace{} // shared across instances: reuse must not leak state
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 41))
-		n := 2 + r.IntN(30)
-		g := randomAugmented(r, n, r.IntN(4*n), r.IntN(3*n))
-		init := randomPartition(r, n)
-		cfg := Config{
-			FriendWeight: 64,
-			RejectWeight: int64(r.IntN(300)), // includes w_R = 0
-		}
-		if r.IntN(2) == 0 {
-			pinned := make([]bool, n)
-			for i := range pinned {
-				pinned[i] = r.IntN(5) == 0
+	t.Run("dense", func(t *testing.T) {
+		ws := &Workspace{} // shared across instances: reuse must not leak state
+		f := func(seed uint64) bool {
+			r := rand.New(rand.NewPCG(seed, 41))
+			n := 2 + r.IntN(30)
+			g := randomAugmented(r, n, r.IntN(4*n), r.IntN(3*n))
+			cfg := Config{
+				FriendWeight: 64,
+				RejectWeight: int64(r.IntN(300)), // includes w_R = 0
 			}
-			cfg.Pinned = pinned
+			return matchesSlicePath(r, g, cfg, ws) && ws.list == nil
 		}
-
-		want := Partition(g, init, cfg)
-		got := PartitionFrozen(g.Freeze(), init, cfg, ws)
-
-		if got.Objective != want.Objective || got.Passes != want.Passes || got.Stats != want.Stats {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Fatal(err)
 		}
-		// The introspection counters feed the tracing layer and must track
-		// the seed path exactly too.
-		if got.Switches != want.Switches || got.Rollbacks != want.Rollbacks {
-			return false
-		}
-		if len(got.PassGains) != len(want.PassGains) || len(got.PassGains) != got.Passes {
-			return false
-		}
-		for i := range want.PassGains {
-			if got.PassGains[i] != want.PassGains[i] {
+	})
+	t.Run("generic", func(t *testing.T) {
+		ws := &Workspace{}
+		f := func(seed uint64) bool {
+			r := rand.New(rand.NewPCG(seed, 45))
+			n := 30 + r.IntN(40)
+			g := randomAugmented(r, n, r.IntN(4*n), r.IntN(3*n))
+			for g.InRejections(0)+g.OutRejections(0) < 40 {
+				if v := graph.NodeID(1 + r.IntN(n-1)); r.IntN(2) == 0 {
+					g.AddRejection(0, v)
+				} else {
+					g.AddRejection(v, 0)
+				}
+			}
+			cfg := Config{FriendWeight: 64, RejectWeight: 1<<17 + int64(r.IntN(1<<10))}
+			if !matchesSlicePath(r, g, cfg, ws) {
 				return false
 			}
+			_, sparse := ws.list.(*bucketlist.Sparse)
+			return sparse && ws.dense == nil
 		}
-		for i := range want.Partition {
-			if got.Partition[i] != want.Partition[i] {
-				return false
-			}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
 		}
-		return true
+	})
+}
+
+// matchesSlicePath solves g from a random initial partition, pinning a
+// random fifth of the nodes half the time, on both engines and reports
+// whether every Result field the slice engine fills agrees.
+func matchesSlicePath(r *rand.Rand, g *graph.Graph, cfg Config, ws *Workspace) bool {
+	n := g.NumNodes()
+	init := randomPartition(r, n)
+	if r.IntN(2) == 0 {
+		pinned := make([]bool, n)
+		for i := range pinned {
+			pinned[i] = r.IntN(5) == 0
+		}
+		cfg.Pinned = pinned
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
+
+	want := Partition(g, init, cfg)
+	got := PartitionFrozen(g.Freeze(), init, cfg, ws)
+
+	// The introspection counters feed the tracing layer and must track the
+	// slice engine exactly too.
+	return got.Objective == want.Objective && got.Passes == want.Passes && got.Stats == want.Stats &&
+		got.Switches == want.Switches && got.Rollbacks == want.Rollbacks &&
+		len(got.PassGains) == got.Passes && slices.Equal(got.PassGains, want.PassGains) &&
+		slices.Equal(got.Partition, want.Partition)
 }
 
 // TestPartitionFrozenStatsExact: the incrementally tracked statistics must

@@ -146,26 +146,6 @@ func TestRejectWeightZeroMinimizesCrossEdges(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	g := graph.New(3)
-	cases := []struct {
-		name string
-		cfg  Config
-		ok   bool
-	}{
-		{"valid", Config{FriendWeight: 1, RejectWeight: 1}, true},
-		{"zero friend weight", Config{FriendWeight: 0, RejectWeight: 1}, false},
-		{"negative reject weight", Config{FriendWeight: 1, RejectWeight: -1}, false},
-		{"pinned mismatch", Config{FriendWeight: 1, Pinned: make([]bool, 2)}, false},
-		{"negative passes", Config{FriendWeight: 1, MaxPasses: -1}, false},
-	}
-	for _, tc := range cases {
-		if err := tc.cfg.Validate(g); (err == nil) != tc.ok {
-			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
-		}
-	}
-}
-
 // TestMatchesBruteForceOnTinyGraphs: on graphs small enough to enumerate,
 // repeated KL from every corner of the search space must find the global
 // optimum of the linear objective. KL is a heuristic; to make the check

@@ -107,42 +107,6 @@ var Incr = IncrCounters{
 	LastPatchMS:     expvar.NewFloat("rejecto.incr_last_patch_ms"),
 }
 
-// MLCounters is the counter set of the multilevel sweep (internal/ml wired
-// through core.CutOptions.Multilevel), published under "rejecto.ml_*". The
-// sweep ticks them once per ladder build, per coarse solve, and per
-// winner-refinement decision.
-type MLCounters struct {
-	// Coarsens counts multilevel ladders built (one per swept residual);
-	// CoarsenLevels accumulates their depths excluding level 0, so
-	// CoarsenLevels/Coarsens is the mean ladder height.
-	Coarsens      *expvar.Int
-	CoarsenLevels *expvar.Int
-	// CoarseSolves counts KL solves run on the coarsest level — the cheap
-	// per-(k, init) half of the multilevel sweep. They deliberately do not
-	// tick the Pipeline solve counters, which keep meaning "full-resolution
-	// solves".
-	CoarseSolves *expvar.Int
-	// Refines counts sweep winners refined down the ladder; Fallbacks
-	// counts refined winners the quality gate rejected (the sweep was then
-	// re-run flat).
-	Refines   *expvar.Int
-	Fallbacks *expvar.Int
-	// FlatDepth1 counts sweeps that skipped the multilevel path because the
-	// graph would not coarsen (already at or below the coarsest bound).
-	FlatDepth1 *expvar.Int
-}
-
-// ML is the singleton multilevel counter set (see Pipeline for why it is
-// package scope).
-var ML = MLCounters{
-	Coarsens:      expvar.NewInt("rejecto.ml_coarsens"),
-	CoarsenLevels: expvar.NewInt("rejecto.ml_coarsen_levels"),
-	CoarseSolves:  expvar.NewInt("rejecto.ml_coarse_solves"),
-	Refines:       expvar.NewInt("rejecto.ml_refines"),
-	Fallbacks:     expvar.NewInt("rejecto.ml_fallbacks"),
-	FlatDepth1:    expvar.NewInt("rejecto.ml_flat_depth1"),
-}
-
 // StorageCounters is the counter set of the durable storage engine
 // (internal/storage), published under "rejecto.storage_*". The segmented
 // backend ticks them per append (one atomic add), per seal, per snapshot,

@@ -52,20 +52,6 @@
 //	                  the reason, Acceptance = the rejected warm cut's
 //	                  value or -1 when the warm solve found no cut); the
 //	                  round is then re-solved cold
-//	ml.coarsen        one multilevel ladder built (package ml): Dur, Nodes =
-//	                  coarsest supernode count, Attempt = ladder depth
-//	                  including level 0
-//	ml.solve          one coarse-grid sweep: Jobs, total coarse KL Passes,
-//	                  the winning Job / K / Init / Acceptance, Dur. The
-//	                  per-job solves are not traced individually — they are
-//	                  the cheap half of the multilevel bargain
-//	ml.refine         the sweep winner refined down the ladder: K, Passes /
-//	                  Switches / Rollbacks across all levels, Acceptance of
-//	                  the refined cut (-1 when refinement yielded no valid
-//	                  candidate), Dur
-//	ml.fallback       the multilevel gate rejected the refined winner
-//	                  (Detail = the reason, Acceptance = the rejected
-//	                  value or -1); the sweep is then re-run flat
 //	storage.seal      one journal segment sealed and rolled (package
 //	                  storage): Nodes = the sealed segment's record count,
 //	                  Detail = its file name

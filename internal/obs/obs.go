@@ -22,11 +22,6 @@ const (
 	EvIncrWarm     = "incr.warm"
 	EvIncrFallback = "incr.fallback"
 
-	EvMLCoarsen  = "ml.coarsen"
-	EvMLSolve    = "ml.solve"
-	EvMLRefine   = "ml.refine"
-	EvMLFallback = "ml.fallback"
-
 	EvStorageSeal     = "storage.seal"
 	EvStorageSnapshot = "storage.snapshot"
 	EvStorageCompact  = "storage.compact"
@@ -53,6 +48,17 @@ const (
 	// fused score, Suspects = 1 if the epoch cut flagged the account).
 	EvScorePublish = "score.publish"
 	EvScoreEnforce = "score.enforce"
+)
+
+// Events of the multilevel ladder, which is removed: nothing emits them.
+//
+// Deprecated: only the frozen benchmark module (bench/) still reads them.
+// Drop its rows, then delete the constants (ROADMAP item 1(g)).
+const (
+	EvMLCoarsen  = "ml.coarsen"
+	EvMLSolve    = "ml.solve"
+	EvMLRefine   = "ml.refine"
+	EvMLFallback = "ml.fallback"
 )
 
 // Event is one structured trace event. It is a flat value type so that

@@ -3,7 +3,7 @@
 // them with the latest published detection epoch into a deterministic
 // allow/throttle/deny verdict at friend-request time.
 //
-// The batch pipeline (core.Detect and its incremental/multilevel variants)
+// The batch pipeline (core.Detect and its incremental variant)
 // answers "who looks like a friend spammer given everything logged so
 // far", but only at epoch cadence. A production OSN needs an answer the
 // moment a request arrives — including for accounts that started spamming

@@ -18,25 +18,25 @@ import (
 // seeded chaos fault schedule. The chaos runs must be byte-identical to
 // the fault-free distributed baseline, and that baseline must agree with
 // the server's single-machine epoch on every interval's suspect set.
-// The "ml" variant routes the server's sweeps through the multilevel
-// ladder and checks them against a batch DetectSharded rebuild running the
-// same ladder — the distributed engine solves its KL in-cluster and has no
-// multilevel path, so there the ml run keeps only the chaos-vs-baseline
-// byte-equality, pinning that fault injection stays deterministic when the
-// service around it runs multilevel sweeps.
+// The "restarts" variant gives the server's sweeps a random restart and
+// checks them against a batch DetectSharded rebuild with the same options;
+// the distributed baseline stays on one init, so there the restarts run
+// keeps only the chaos-vs-baseline byte-equality, pinning that fault
+// injection stays deterministic when the service around it runs
+// multi-init sweeps.
 func TestChaosDistributedMatchesServerEpoch(t *testing.T) {
 	t.Run("flat", func(t *testing.T) { chaosDistributedMatchesServerEpoch(t, false) })
-	t.Run("ml", func(t *testing.T) { chaosDistributedMatchesServerEpoch(t, true) })
+	t.Run("restarts", func(t *testing.T) { chaosDistributedMatchesServerEpoch(t, true) })
 }
 
-func chaosDistributedMatchesServerEpoch(t *testing.T, multilevel bool) {
+func chaosDistributedMatchesServerEpoch(t *testing.T, restarts bool) {
 	const n, spammers = 300, 40
 	r := rand.New(rand.NewPCG(1, 91))
 	events := spamWorkload(r, n, spammers)
 	base := testBase(n)
 	opts := testDetectorOptions()
-	if multilevel {
-		opts = mlDetectorOptions()
+	if restarts {
+		opts = restartsDetectorOptions()
 	}
 	s, ts := newTestServer(t, base, func(cfg *Config) {
 		cfg.Detector = opts
@@ -57,26 +57,25 @@ func chaosDistributedMatchesServerEpoch(t *testing.T, multilevel bool) {
 		shards[req.Interval] = append(shards[req.Interval], req)
 	}
 
-	// The distributed engine runs its extended KL in-cluster — it has no
-	// multilevel path, so its config stays flat. In ml mode the server's
-	// epoch is instead checked against a batch DetectSharded rebuild running
-	// the same multilevel sweeps; the dist baseline then only anchors the
-	// chaos byte-equality below.
+	// The distributed baseline runs the one-init configuration. In restarts
+	// mode the server's epoch is instead checked against a batch
+	// DetectSharded rebuild running the same two-init sweeps; the dist
+	// baseline then only anchors the chaos byte-equality below.
 	distOpts := testDetectorOptions()
 	cfg := dist.DetectorConfig{
 		Cut:                 distOpts.Cut,
 		AcceptanceThreshold: distOpts.AcceptanceThreshold,
 		MaxRounds:           distOpts.MaxRounds,
 	}
-	var mlBatch map[int]core.Detection
-	if multilevel {
+	var batch map[int]core.Detection
+	if restarts {
 		dets, err := core.DetectSharded(base, EventsToRequests(events), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mlBatch = make(map[int]core.Detection, len(dets))
+		batch = make(map[int]core.Detection, len(dets))
 		for _, d := range dets {
-			mlBatch[d.Interval] = d.Detection
+			batch[d.Interval] = d.Detection
 		}
 	}
 	mix, ok := chaos.Class("mixed")
@@ -104,8 +103,8 @@ func chaosDistributedMatchesServerEpoch(t *testing.T, multilevel bool) {
 		if err != nil {
 			t.Fatalf("interval %d: fault-free distributed baseline: %v", iv.Interval, err)
 		}
-		if multilevel {
-			assertSameSuspectSet(t, iv.Interval, iv.Detection, mlBatch[iv.Interval])
+		if restarts {
+			assertSameSuspectSet(t, iv.Interval, iv.Detection, batch[iv.Interval])
 		} else {
 			assertSameSuspectSet(t, iv.Interval, iv.Detection, baseline)
 		}

@@ -36,24 +36,24 @@ func splitPairs(events []Event, parts int) [][]Event {
 // booted in: detector × journal × backend. The coordinator owns its shard
 // journals, so there is no memory × cluster cell.
 type servingRow struct {
-	name       string
-	multilevel bool
-	durable    bool // segmented journal (+ SnapshotEvery locally), restarted over a torn tail
-	cluster    bool // 4-shard/2-worker coordinator as Config.Backend
+	name     string
+	restarts bool // two initial partitions per sweep (restartsDetectorOptions)
+	durable  bool // segmented journal (+ SnapshotEvery locally), restarted over a torn tail
+	cluster  bool // 4-shard/2-worker coordinator as Config.Backend
 }
 
 var servingMatrix = []servingRow{
 	{"flat/memory/local", false, false, false},
-	{"ml/memory/local", true, false, false},
-	{"flat/segmented/local", false, true, false},
-	{"ml/segmented/local", true, true, false}, // the benchmark's single-node SUT
-	{"flat/segmented/cluster", false, true, true},
-	{"ml/segmented/cluster", true, true, true}, // the benchmark's sharded SUT
+	{"restarts/memory/local", true, false, false},
+	{"flat/segmented/local", false, true, false}, // the benchmark's single-node SUT
+	{"restarts/segmented/local", true, true, false},
+	{"flat/segmented/cluster", false, true, true}, // the benchmark's sharded SUT
+	{"restarts/segmented/cluster", true, true, true},
 }
 
 func (r servingRow) opts() core.DetectorOptions {
-	if r.multilevel {
-		return mlDetectorOptions()
+	if r.restarts {
+		return restartsDetectorOptions()
 	}
 	return testDetectorOptions()
 }

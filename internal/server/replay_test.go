@@ -22,16 +22,16 @@ import (
 // replay (core.DetectSharded over the journal) is byte-identical to the
 // server's own final detection. Run it under -race:
 // the readers and writers also double as the data-race probe for the
-// epoch-swap snapshot model. The "ml" variant runs every sweep — live
-// server and both replays — through the multilevel ladder; byte-equality
-// must survive the engine swap since the replay contract is about the
-// journal, not the solver.
+// epoch-swap snapshot model. The "restarts" variant runs every sweep —
+// live server and both replays — from two initial partitions;
+// byte-equality must survive that too, since the replay contract is about
+// the journal, not the sweep.
 func TestReplayDeterminismUnderConcurrency(t *testing.T) {
 	t.Run("flat", func(t *testing.T) { replayDeterminismUnderConcurrency(t, false) })
-	t.Run("ml", func(t *testing.T) { replayDeterminismUnderConcurrency(t, true) })
+	t.Run("restarts", func(t *testing.T) { replayDeterminismUnderConcurrency(t, true) })
 }
 
-func replayDeterminismUnderConcurrency(t *testing.T, multilevel bool) {
+func replayDeterminismUnderConcurrency(t *testing.T, restarts bool) {
 	const (
 		n        = 200
 		spammers = 30
@@ -51,8 +51,8 @@ func replayDeterminismUnderConcurrency(t *testing.T, multilevel bool) {
 
 	dir := t.TempDir()
 	detOpts := testDetectorOptions()
-	if multilevel {
-		detOpts = mlDetectorOptions()
+	if restarts {
+		detOpts = restartsDetectorOptions()
 	}
 	s, ts := newTestServer(t, testBase(n), func(cfg *Config) {
 		cfg.Store = openSegmented(t, dir)

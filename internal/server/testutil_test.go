@@ -74,13 +74,12 @@ func testDetectorOptions() core.DetectorOptions {
 	}
 }
 
-// mlDetectorOptions is testDetectorOptions through the multilevel ladder.
-// A sweep enters the ladder only with more than one initial partition, so
-// the ml variants of the equivalence tables add a random restart: without
-// it they would run the flat variants' code.
-func mlDetectorOptions() core.DetectorOptions {
+// restartsDetectorOptions is testDetectorOptions with one random restart:
+// every sweep solves the k grid from two initial partitions instead of
+// one, the multi-init sweep the "restarts" variants of the equivalence
+// tables carry through replay, incremental and sharded serving.
+func restartsDetectorOptions() core.DetectorOptions {
 	opts := testDetectorOptions()
-	opts.Cut.Multilevel = true
 	opts.Cut.Restarts = 1
 	return opts
 }
