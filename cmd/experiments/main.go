@@ -108,9 +108,6 @@ func experiments() []experiment {
 		{"fig17", "Fig 9-12 sweeps on the six other graphs", runFig17},
 		{"fig18", "Fig 13-15 sweeps on the six other graphs", runFig18},
 		{"table2", "distributed-engine scalability", runTable2},
-		{"incr", "incremental epochs: latency vs delta size, cold vs patched+warm", runIncr},
-		{"storage", "durability & recovery: restart shape by snapshot coverage, torn tails, crash storm", runStorage},
-		{"cluster", "multi-node sharded rejectod: single vs sharded epoch equality, shard scaling, per-shard timing", runCluster},
 		{"score", "real-time verdicts vs batch-only: precision/recall on a post-epoch spam wave", runScore},
 		{"matrix", "adversary/defense matrix: adaptive strategies × fusion defenses", runMatrix},
 	}

@@ -13,18 +13,12 @@ import (
 	"repro/internal/obs"
 )
 
-// benchShards are the layouts BENCH_cluster.json reports; the CI criterion
-// compares the first and last.
+// benchShards are the layouts the cluster benchmarks compare.
 var benchShards = []int{1, 2, 4}
-
-// benchShipEvery is the per-shard ship cadence: each shard makes its own
-// slice of the stream durable every benchShipEvery records, the deployment
-// cadence ShipEvery models (a global flush barrier would pin every layout
-// to the same fsync count and hide the scaling).
-const benchShipEvery = 4000
 
 // benchClusterWorld is the fixed workload every layout ingests: the same
 // base and journal, so timings across layouts are directly comparable.
+// TestShardLoadSplitsJournal routes it too.
 func benchClusterWorld() (*graph.Graph, core.DetectorOptions, []core.TimedRequest) {
 	r := rand.New(rand.NewPCG(42, 1))
 	const n, journal, intervals = 800, 40000, 8
@@ -90,15 +84,15 @@ func benchCoordinator(b *testing.B, base *graph.Graph, opts core.DetectorOptions
 }
 
 // BenchmarkClusterIngest ingests one full journal per iteration — Append
-// routing plus the per-shard ship cadence — and reports two timings:
+// routing plus one Flush that ships every shard's slice — and reports two
+// timings:
 //
 //   - ns/op: single-process wall time (every shard's ship work and fsyncs
 //     share this machine, so it is GOMAXPROCS- and disk-bound);
 //   - busyns/op: the busiest shard's total ship busy time, measured with
 //     serial fan-out so each shard's work is timed in isolation. This is
-//     the shard tier's ingest bottleneck in the deployment the subsystem
-//     exists for — one shard per node — and is the number the CI ≥2×
-//     throughput criterion is computed from (scripts/bench_cluster.sh).
+//     the shard tier's ingest bottleneck when each shard runs on its own
+//     node.
 //
 // recs/op reports the fixed record count, letting tooling turn either
 // timing into records/sec.
@@ -112,7 +106,6 @@ func BenchmarkClusterIngest(b *testing.B) {
 				bc := &busyCollector{busy: make(map[int]time.Duration)}
 				c := benchCoordinator(b, base, opts, shards, func(cfg *Config) {
 					cfg.Serial = true
-					cfg.ShipEvery = benchShipEvery
 					cfg.Tracer = bc
 				})
 				b.StartTimer()

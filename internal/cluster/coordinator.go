@@ -64,15 +64,6 @@ type Config struct {
 	// budgets should span crash-rebuild cycles.
 	StoreHooks func(shard int) storage.Hooks
 
-	// ShipEvery, when positive, ships a shard's journal tail to its
-	// worker (ingest + durable flush) as soon as that shard's unshipped
-	// backlog reaches this many records, instead of waiting for the next
-	// Flush. Per-shard cadence is how sharding scales ingest durability:
-	// every shard fsyncs only its own slice of the stream, so each
-	// shard's flush count — and with it the per-node durability cost —
-	// drops as shards are added. Zero ships only on explicit Flush.
-	ShipEvery int
-
 	// Serial runs the ship and detect fan-outs one shard at a time
 	// instead of concurrently. The merged epochs are identical either
 	// way; serial fan-out makes the RPC schedule a pure function of the
@@ -341,10 +332,7 @@ func (c *Coordinator) Recover(apply func([]core.TimedRequest) error) (int, error
 // Append routes one answered request: into the arrival journal, its
 // sender's shard partition, and its interval owner's detection queue.
 // Shipping to the shard's worker is deferred to Flush (the server's
-// group-commit policy), so Append itself never blocks on the transport —
-// unless Config.ShipEvery is set, in which case reaching a shard's
-// backlog threshold ships that shard's tail inline (natural ingest
-// backpressure).
+// group-commit policy), so Append itself never blocks on the transport.
 func (c *Coordinator) Append(req core.TimedRequest) error {
 	s, err := c.homeShard(req.From)
 	if err != nil {
@@ -363,23 +351,8 @@ func (c *Coordinator) Append(req core.TimedRequest) error {
 		c.boundary++
 		obs.Cluster.Boundary.Add(1)
 	}
-	var (
-		ship  bool
-		start int64
-		batch []core.TimedRequest
-	)
-	if c.cfg.ShipEvery > 0 {
-		ps := c.perShard[s]
-		if start = c.shipped[s]; int64(len(ps))-start >= int64(c.cfg.ShipEvery) {
-			ship = true
-			batch = ps[start:len(ps):len(ps)]
-		}
-	}
 	c.mu.Unlock()
 	obs.Cluster.Routed.Add(1)
-	if ship {
-		return c.shipShard(s, start, batch)
-	}
 	return nil
 }
 

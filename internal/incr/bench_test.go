@@ -37,8 +37,8 @@ func benchWorld(deltaFrac float64) (base *graph.Graph, opts core.DetectorOptions
 var benchFracs = []float64{0.001, 0.01, 0.1}
 
 // BenchmarkEpochCold is the baseline: every epoch re-runs the batch
-// engine over the full journal plus the accumulated deltas, the way
-// rejectod's default mode does.
+// engine over the full journal plus the accumulated deltas, the way the
+// replay oracle (core.DetectSharded) does.
 func BenchmarkEpochCold(b *testing.B) {
 	for _, frac := range benchFracs {
 		b.Run(fmt.Sprintf("delta=%g", frac), func(b *testing.B) {

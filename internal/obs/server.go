@@ -72,7 +72,8 @@ var Server = ServerCounters{
 // per-verdict handler time on /v1/score and per-batch handler time on
 // POST /v1/events. Their p50/p90/p99 are published as
 // "rejecto.server.score_latency" and "rejecto.server.ingest_latency" at
-// /debug/vars, and BENCH_serve.json's criterion reads the score p99.
+// /debug/vars, and the benchmark's score.server_p*_us read the score
+// histogram.
 // Package scope for the same reason as the counter sets: expvar
 // registration is global and panics on duplicates.
 var (

@@ -9,8 +9,8 @@
 //
 // Three single-owner goroutines, no shared mutable state:
 //
-//   - The ingest loop owns the event log, the pending-request lifecycle
-//     table, and the journal sink (a storage.Store, a Backend, or nothing).
+//   - The ingest loop owns the answered-request log and the journal sink
+//     (a storage.Store, a Backend, or nothing).
 //     HTTP ingest handlers decode each POST into a pooled batch and hand
 //     it over whole through a queue bounded in events (backpressure: the
 //     prefix that fits is queued, the rest answered 429 + Retry-After;

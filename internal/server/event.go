@@ -315,65 +315,32 @@ func strictUnmarshal(data []byte, v any) error {
 	return nil
 }
 
-// pairKey identifies an ordered (sender, recipient) request pair.
-type pairKey struct{ from, to graph.NodeID }
-
-// lifecycle folds lifecycle events into the stream of answered requests.
-// A "request" event opens a pending entry; accept/reject/ignore events
-// answer it (tolerating answers with no recorded request, since an OSN may
-// backfill history) and emit one core.TimedRequest each. The fold is a
-// pure function of the event sequence — the property the replay harness
-// leans on: the server's ingest loop and the batch Replay path run this
-// exact code, so their answered-request logs are identical by
-// construction.
-type lifecycle struct {
-	pending map[pairKey]int
-}
-
-func newLifecycle() *lifecycle {
-	return &lifecycle{pending: make(map[pairKey]int)}
-}
-
-// apply folds one event, returning the answered request it produced, if
-// any.
-func (lc *lifecycle) apply(ev Event) (core.TimedRequest, bool) {
-	key := pairKey{ev.From, ev.To}
-	switch ev.Type {
-	case EvRequest:
-		lc.pending[key]++
+// answer folds one lifecycle event into the answered request it produces,
+// if any. A "request" event produces nothing; accept/reject/ignore events
+// (validated upstream) each produce one core.TimedRequest, whether or not
+// a request was seen first, since an OSN may backfill history. The fold
+// is a pure function of the event — the property the replay harness leans
+// on: the server's ingest loop and the batch Replay path run this exact
+// code, so their answered-request logs are identical by construction.
+func answer(ev Event) (core.TimedRequest, bool) {
+	if ev.Type == EvRequest {
 		return core.TimedRequest{}, false
-	default: // accept | reject | ignore — validated upstream
-		if n := lc.pending[key]; n > 1 {
-			lc.pending[key] = n - 1
-		} else if n == 1 {
-			delete(lc.pending, key)
-		}
-		return core.TimedRequest{
-			From:     ev.From,
-			To:       ev.To,
-			Accepted: ev.Type == EvAccept,
-			Interval: ev.Interval,
-		}, true
 	}
-}
-
-// pendingCount reports the number of outstanding unanswered requests.
-func (lc *lifecycle) pendingCount() int {
-	n := 0
-	for _, c := range lc.pending {
-		n += c
-	}
-	return n
+	return core.TimedRequest{
+		From:     ev.From,
+		To:       ev.To,
+		Accepted: ev.Type == EvAccept,
+		Interval: ev.Interval,
+	}, true
 }
 
 // EventsToRequests folds a lifecycle event log into the answered-request
 // journal it produces, in log order. It is the pure-replay counterpart of
 // the server's ingest loop.
 func EventsToRequests(events []Event) []core.TimedRequest {
-	lc := newLifecycle()
 	var out []core.TimedRequest
 	for _, ev := range events {
-		if req, ok := lc.apply(ev); ok {
+		if req, ok := answer(ev); ok {
 			out = append(out, req)
 		}
 	}

@@ -10,6 +10,9 @@ import (
 	"repro/internal/graph"
 )
 
+// pairKey identifies an ordered (sender, recipient) request pair.
+type pairKey struct{ from, to graph.NodeID }
+
 // permutePreservingPairOrder interleaves the per-(from,to) event queues in a
 // random order: the relative order of events on the same edge is preserved
 // (a request still precedes its answer), everything else is shuffled.

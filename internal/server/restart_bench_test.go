@@ -18,8 +18,8 @@ import (
 // every segment and folds the whole journal into a fresh frozen read model;
 // with one, it loads the snapshot's CSR and engine memo and patches the
 // tail, so restart cost tracks the delta since the last snapshot, not
-// journal length. scripts/bench_storage.sh runs this at 10^6 events and
-// enforces the speedup floor recorded in BENCH_storage.json.
+// journal length. The benchmark's restart_s and storage.recover_ms time
+// the same path end to end.
 func BenchmarkRestart(b *testing.B) {
 	for _, nEvents := range []int{100_000, 1_000_000} {
 		base, reqs := benchRestartWorld(nEvents)

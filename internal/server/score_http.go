@@ -17,7 +17,7 @@ import (
 
 const (
 	// maxScoreBatch bounds the IDs one /v1/score call may ask about;
-	// anything larger should be a loadgen-style sweep, not one request.
+	// anything larger should be a sweep of many requests, not one.
 	maxScoreBatch = 1024
 	// maxScoreBody bounds a POST /v1/score body — a full batch of IDs is a
 	// few KB, so 64 KiB leaves generous framing headroom.
@@ -147,8 +147,8 @@ func toScoreReply(res score.Result) scoreReply {
 // handleScore serves real-time verdicts. A single-ID request answers a
 // bare verdict object, a multi-ID request an array in request order. Each
 // verdict's latency (not the batch's) feeds the score histogram, so the
-// p99 at /debug/vars measures the per-verdict serving cost BENCH_serve
-// budgets.
+// p99 at /debug/vars measures the per-verdict serving cost (the
+// benchmark's score.server_p99_us).
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {

@@ -287,7 +287,7 @@ func TestServerScoreZeroAllocs(t *testing.T) {
 
 // BenchmarkServerScore measures the in-process verdict cost at the server
 // layer (Server.Score: bounds check + scorer read + counters), the number
-// BENCH_serve's HTTP-level p99 sits on top of.
+// the HTTP-level score latency sits on top of.
 func BenchmarkServerScore(b *testing.B) {
 	const n = 1 << 16
 	s, err := New(Config{Base: testBase(n), Detector: testDetectorOptions(), QueueSize: 1 << 16})

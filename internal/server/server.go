@@ -197,7 +197,6 @@ type Server struct {
 	// Ingest-loop-owned state. Written only by the ingest goroutine (and
 	// by New during recovery, before the goroutine starts); other
 	// goroutines reach it only through snapReq.
-	lc     *lifecycle
 	events []core.TimedRequest
 
 	// Group-commit state, written only by the ingest loop. unflushed
@@ -296,7 +295,6 @@ func newServer(cfg Config, after func(time.Duration) <-chan time.Time) (*Server,
 		detectorDone: make(chan struct{}),
 		ingestDone:   make(chan struct{}),
 		users:        cache.NewLocked[userKey, []byte](cfg.CacheSize),
-		lc:           newLifecycle(),
 		store:        cfg.Store,
 		backend:      cfg.Backend,
 	}
@@ -435,7 +433,7 @@ func (s *Server) applyBatch(batch *[]Event) {
 	events := *batch
 	done, journaled := 0, 0
 	for ; done < len(events) && s.journalErr.Load() == nil; done++ {
-		req, answered := s.lc.apply(events[done])
+		req, answered := answer(events[done])
 		if !answered {
 			continue
 		}
