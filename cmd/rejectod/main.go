@@ -64,7 +64,6 @@
 //	                     202 on enqueue; 429 + Retry-After on a full queue
 //	POST /v1/detect      run detection now, respond with the new epoch
 //	GET  /v1/suspects    last epoch's per-interval suspect sets
-//	GET  /v1/users/{id}  one user's stats and suspect status
 //	GET  /v1/score       real-time verdict: ?id=7 (repeatable for a batch)
 //	POST /v1/score       same, JSON body {"id": 7} or {"ids": [7, 9]}
 //	GET  /v1/stats       queue depth, counters, epoch summary, score stats

@@ -181,19 +181,3 @@ var Cluster = ClusterCounters{
 	Rebuilds:     expvar.NewInt("rejecto.cluster_rebuilds"),
 	LastMergeMS:  expvar.NewFloat("rejecto.cluster_last_merge_ms"),
 }
-
-// CacheCounters is the process-wide hit/miss tally of every cache.Locked
-// instance, published as "rejecto.cache_hits"/"rejecto.cache_misses" so
-// warm-epoch memoization wins show up at /debug/vars next to the pipeline
-// counters. Ticked once per Get — a single atomic add.
-type CacheCounters struct {
-	Hits   *expvar.Int
-	Misses *expvar.Int
-}
-
-// Cache is the singleton cache counter set (see Pipeline for why it is
-// package scope).
-var Cache = CacheCounters{
-	Hits:   expvar.NewInt("rejecto.cache_hits"),
-	Misses: expvar.NewInt("rejecto.cache_misses"),
-}

@@ -7,7 +7,7 @@ import "repro/internal/core"
 // incr.Engine; a Backend bundles the two into one replaceable unit so a
 // differently-shaped engine — the multi-node coordinator in
 // internal/cluster — can sit under the same HTTP surface, ingest fold,
-// epoch read model, and real-time scorer. The server treats the two alike
+// published epochs, and real-time scorer. The server treats the two alike
 // except for who answers Recover, Detect, Mode and Stats.
 //
 // Call discipline mirrors the server's goroutine model: Recover is called
@@ -18,14 +18,14 @@ type Backend interface {
 	// Recover replays the backend's durable journal through apply (in
 	// batches, in journal order) and readies the backend for Append. It
 	// returns the number of records replayed. The server folds the
-	// records into its read model and scorer exactly as recovery from its
-	// own store would.
+	// records into its log and scorer exactly as recovery from its own
+	// store would.
 	Recover(apply func([]core.TimedRequest) error) (int, error)
 
 	// Append journals one answered request. Durability may be deferred to
 	// the next Flush; ordering within a Recover replay only has to be
-	// preserved per sender (the detection and read models are
-	// order-independent beyond that).
+	// preserved per sender (detection is order-independent
+	// beyond that).
 	Append(req core.TimedRequest) error
 
 	// Flush makes every appended record durable — called by the ingest

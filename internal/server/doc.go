@@ -23,16 +23,14 @@
 //   - The detector loop runs detections serially. It asks the ingest loop
 //     for a snapshot — an immutable prefix of the answered-request log,
 //     one group commit and then an O(1) handoff, so detection never
-//     blocks ingest for longer than a flush — splices the
-//     prefix's new tail into the frozen read model, and hands the same
+//     blocks ingest for longer than a flush — and hands the prefix's new
 //     tail to the incr.Engine (or the cut position to the Backend), which
 //     patches each touched interval's snapshot, reuses the untouched ones,
-//     and sweeps. The completed Epoch (per-interval suspect sets plus the
-//     canonical frozen snapshot of the full augmented graph) is published
-//     through an atomic pointer swap.
+//     and sweeps. The completed Epoch (per-interval suspect sets) is
+//     published through an atomic pointer swap.
 //   - HTTP readers load the current epoch pointer and serve from it;
-//     per-user lookups are memoized through an epoch-keyed LRU
-//     (internal/cache).
+//     per-account answers come from /v1/score, which fuses the account's
+//     online features with the epoch's suspect set.
 //
 // A local server and one with a Backend differ only in who answers
 // Recover, Detect, Mode and Stats.
@@ -44,8 +42,7 @@
 // lifecycle code, the journal records the folded answered requests in
 // arrival order, and — with Config.DisableWarmStart — every epoch is
 // exactly core.DetectSharded over the journal prefix it covers (warm
-// starts keep the read model exact and gate the cuts on equal-or-better
-// acceptance). Replaying a server's store directory through the batch CLI
+// starts gate the cuts on equal-or-better acceptance). Replaying a server's store directory through the batch CLI
 // therefore reproduces the server's suspect sets byte for byte — the
 // invariant the test harness enforces, with Replay as the oracle, for
 // every detector × journal × backend combination, under concurrent ingest

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,7 +24,6 @@ const maxEventBody = 8 << 20
 //	                     over maxEventBody, 503 once the journal has failed
 //	POST /v1/detect      run a detection now; responds when it completes
 //	GET  /v1/suspects    per-interval suspect sets of the last epoch
-//	GET  /v1/users/{id}  per-user stats + suspect status (memoized)
 //	GET  /v1/score       real-time verdict(s): ?id=7&id=9, repeatable
 //	POST /v1/score       same, JSON body {"id": 7} or {"ids": [7, 9]}
 //	GET  /v1/stats       queue/epoch/counter snapshot
@@ -35,7 +33,6 @@ func (s *Server) routes() http.Handler {
 	mux.Handle("POST /v1/events", s.instrument("POST /v1/events", s.handleEvents))
 	mux.Handle("POST /v1/detect", s.instrument("POST /v1/detect", s.handleDetect))
 	mux.Handle("GET /v1/suspects", s.instrument("GET /v1/suspects", s.handleSuspects))
-	mux.Handle("GET /v1/users/{id}", s.instrument("GET /v1/users/{id}", s.handleUser))
 	mux.Handle("GET /v1/score", s.instrument("GET /v1/score", s.handleScore))
 	mux.Handle("POST /v1/score", s.instrument("POST /v1/score", s.handleScore))
 	mux.Handle("GET /v1/stats", s.instrument("GET /v1/stats", s.handleStats))
@@ -303,63 +300,10 @@ func (s *Server) handleSuspects(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, epochToReply(s.epoch.Load()))
 }
 
-type userReply struct {
-	ID            graph.NodeID `json:"id"`
-	Epoch         int64        `json:"epoch"`
-	Degree        int          `json:"degree"`
-	InRejections  int          `json:"in_rejections"`
-	OutRejections int          `json:"out_rejections"`
-	Acceptance    float64      `json:"acceptance"`
-	Suspect       bool         `json:"suspect"`
-	Intervals     []int        `json:"intervals,omitempty"`
-}
-
-// handleUser serves one user's stats from the epoch's frozen snapshot,
-// memoized per (epoch, user) through the LRU so hot lookups skip both the
-// graph reads and the JSON encoding.
-func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
-	id64, err := strconv.ParseInt(r.PathValue("id"), 10, 32)
-	if err != nil || id64 < 0 {
-		writeError(w, http.StatusBadRequest, "bad user ID %q", r.PathValue("id"))
-		return
-	}
-	u := graph.NodeID(id64)
-	ep := s.epoch.Load()
-	if int(u) >= ep.frozen.NumNodes() {
-		writeError(w, http.StatusNotFound, "user %d not in the %d-node graph", u, ep.frozen.NumNodes())
-		return
-	}
-	key := userKey{seq: ep.Seq, id: u}
-	if body, ok := s.users.Get(key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-	intervals := ep.suspectIntervals[u]
-	reply := userReply{
-		ID:            u,
-		Epoch:         ep.Seq,
-		Degree:        ep.frozen.Degree(u),
-		InRejections:  ep.frozen.InRejections(u),
-		OutRejections: ep.frozen.OutRejections(u),
-		Acceptance:    ep.frozen.Acceptance(u),
-		Suspect:       len(intervals) > 0,
-		Intervals:     intervals,
-	}
-	body, err := json.Marshal(reply)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding user: %v", err)
-		return
-	}
-	body = append(body, '\n')
-	s.users.Add(key, body)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
 // incrStatsReply breaks down the local engine's last detection: how each
 // interval's snapshot was produced, how the warm starts fared, and where
-// the wall-clock went.
+// the wall-clock went. read_model_ms is always 0: the whole-graph read
+// model it timed is gone, and the field stays for readers that decode it.
 type incrStatsReply struct {
 	Patched     int     `json:"patched"`
 	ColdBuilt   int     `json:"cold_built"`
@@ -417,8 +361,6 @@ type statsReply struct {
 	DetectEpochs   int64              `json:"detect_epochs"`
 	DetectInflight bool               `json:"detect_inflight"`
 	LastDetectMS   float64            `json:"last_detect_ms"`
-	CacheHits      uint64             `json:"user_cache_hits"`
-	CacheMisses    uint64             `json:"user_cache_misses"`
 	Score          *scoreStatsReply   `json:"score"`
 	Incr           *incrStatsReply    `json:"incremental,omitempty"`
 	Storage        *storageStatsReply `json:"storage,omitempty"`
@@ -430,7 +372,6 @@ type statsReply struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ep := s.epoch.Load()
-	hits, misses := s.users.Stats()
 	var journalError string
 	if err := s.journalFailure(); err != nil {
 		journalError = err.Error()
@@ -477,8 +418,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DetectEpochs:   obs.Server.DetectEpochs.Value(),
 		DetectInflight: obs.Server.DetectInflight.Value() == 1,
 		LastDetectMS:   obs.Server.LastDetectMS.Value(),
-		CacheHits:      hits,
-		CacheMisses:    misses,
 		Score:          s.scoreStats(),
 		Incr:           s.incrStats.Load(),
 		Storage:        storageStats,

@@ -123,7 +123,7 @@ func replayDeterminismUnderConcurrency(t *testing.T, restarts bool) {
 					errc <- err
 					return
 				}
-				if err := get(ts.URL + "/v1/users/" + strconv.Itoa(u%n)); err != nil {
+				if err := get(ts.URL + "/v1/score?id=" + strconv.Itoa(u%n)); err != nil {
 					errc <- err
 					return
 				}

@@ -15,11 +15,10 @@ import (
 // BenchmarkRestart measures time-to-serving after a process restart: open
 // the store, recover, and build epoch 0 — everything between exec and the
 // first useful /v1/suspects answer. With no snapshot the server replays
-// every segment and folds the whole journal into a fresh frozen read model;
-// with one, it loads the snapshot's CSR and engine memo and patches the
-// tail, so restart cost tracks the delta since the last snapshot, not
-// journal length. The benchmark's restart_s and storage.recover_ms time
-// the same path end to end.
+// every segment into its log and the scorer; with one, it bulk-loads the
+// snapshot's journal prefix and engine memo and replays only the segment
+// tail. The benchmark's restart_s and storage.recover_ms time the same
+// path end to end.
 func BenchmarkRestart(b *testing.B) {
 	for _, nEvents := range []int{100_000, 1_000_000} {
 		base, reqs := benchRestartWorld(nEvents)
@@ -68,8 +67,8 @@ func benchRestartWorld(nEvents int) (*graph.Graph, []core.TimedRequest) {
 
 // seedStore writes the whole workload under dir the way a live server
 // would have: journal appends, plus — at snapAt records (0 = never) — the
-// snapshot a detection there persists: the prefix, its frozen read model,
-// and the memo of an engine stepped over it.
+// snapshot a detection there persists: the prefix and the memo of an
+// engine stepped over it.
 func seedStore(b *testing.B, dir string, base *graph.Graph, reqs []core.TimedRequest, snapAt int) {
 	b.Helper()
 	st, err := storage.Open(storage.Options{Dir: dir})
@@ -101,7 +100,7 @@ func seedStore(b *testing.B, dir string, base *graph.Graph, reqs []core.TimedReq
 			b.Fatal(err)
 		}
 		err = st.Snapshot(storage.SnapshotState{
-			Count: snapAt, Requests: reqs[:snapAt], Frozen: coldFold(base, reqs[:snapAt]), Memo: memo,
+			Count: snapAt, Requests: reqs[:snapAt], Memo: memo,
 		})
 		if err != nil {
 			b.Fatal(err)

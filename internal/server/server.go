@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/incr"
@@ -67,13 +66,10 @@ type Config struct {
 	// SnapshotEvery persists a storage snapshot after a completed
 	// detection whenever at least this many journal records accumulated
 	// since the last snapshot. The snapshot carries the epoch's journal
-	// prefix, its frozen read model, and the epoch engine's memo, so the
-	// next boot patches forward from it instead of re-folding the log.
+	// prefix and the epoch engine's memo, so the next boot resumes
+	// detection from the memo instead of cold-detecting every interval.
 	// Requires a Store; zero disables snapshotting.
 	SnapshotEvery int
-
-	// CacheSize bounds the per-user lookup memo. Default 4096.
-	CacheSize int
 
 	// Tracer observes every detection run's pipeline events; nil disables
 	// tracing at zero cost.
@@ -102,8 +98,8 @@ type Config struct {
 	// Backend, when non-nil, replaces the server's own journal and
 	// detection engine with an external one (see Backend; the multi-node
 	// coordinator in internal/cluster is the canonical implementation).
-	// The server still owns the HTTP surface, the ingest queue, the epoch
-	// read model, and the real-time scorer; Append/Flush/Detect are
+	// The server still owns the HTTP surface, the ingest queue, the
+	// published epoch, and the real-time scorer; Append/Flush/Detect are
 	// delegated. Mutually exclusive with Store and SnapshotEvery — the
 	// backend owns durability and detection strategy wholesale. The server
 	// takes ownership: Recover runs during New and Close during Shutdown.
@@ -123,7 +119,7 @@ type Config struct {
 // read endpoints until the next one completes.
 type Epoch struct {
 	// Seq numbers epochs from 0 (the recovery epoch built at startup,
-	// which has a graph snapshot but no detection).
+	// which covers the recovered journal but holds no detection).
 	Seq int64
 	// Events is the number of answered requests the detection covered.
 	Events int
@@ -135,10 +131,6 @@ type Epoch struct {
 	// CompletedAt is the detection's completion time.
 	CompletedAt time.Time
 
-	// frozen is the canonical CSR snapshot of the base graph augmented
-	// with every answered request the epoch covers — the read model for
-	// per-user lookups.
-	frozen *graph.Frozen
 	// suspectIntervals maps each suspect to the intervals that flagged it.
 	suspectIntervals map[graph.NodeID][]int
 }
@@ -150,11 +142,6 @@ type detectResult struct {
 
 type detectRequest struct {
 	reply chan detectResult
-}
-
-type userKey struct {
-	seq int64
-	id  graph.NodeID
 }
 
 // Server is the rejectod service. Construct with New, serve Handler, stop
@@ -180,7 +167,6 @@ type Server struct {
 
 	epoch    atomic.Pointer[Epoch]
 	epochSeq int64 // detector-goroutine-owned after New
-	users    *cache.Locked[userKey, []byte]
 
 	// scorer holds the real-time verdict state: per-account online
 	// features written only by the ingest goroutine (and by New during
@@ -228,12 +214,10 @@ type Server struct {
 	// Detector-goroutine-owned state (after New). The journal is append-
 	// only and every handed-out prefix immutable, so "the delta since the
 	// last epoch" is just the log past a remembered length.
-	engine        *incr.Engine  // nil when a Backend detects
-	engineEvents  int           // journal prefix the engine has consumed
-	lastFrozen    *graph.Frozen // read model: base + the first frozenEvents requests
-	frozenEvents  int
-	lastSnapCount int   // journal records covered by the latest storage snapshot
-	snapErr       error // sticky snapshot error; read after detectorDone closes
+	engine        *incr.Engine // nil when a Backend detects
+	engineEvents  int          // journal prefix the engine has consumed
+	lastSnapCount int          // journal records covered by the latest storage snapshot
+	snapErr       error        // sticky snapshot error; read after detectorDone closes
 	incrStats     atomic.Pointer[incrStatsReply]
 
 	interrupted  atomic.Bool
@@ -272,9 +256,6 @@ func newServer(cfg Config, after func(time.Duration) <-chan time.Time) (*Server,
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024
 	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 4096
-	}
 	if cfg.Backend != nil && (cfg.Store != nil || cfg.SnapshotEvery > 0) {
 		return nil, fmt.Errorf("server: Config.Backend owns durability; Store/SnapshotEvery do not apply")
 	}
@@ -294,7 +275,6 @@ func newServer(cfg Config, after func(time.Duration) <-chan time.Time) (*Server,
 		ingestQuit:   make(chan struct{}),
 		detectorDone: make(chan struct{}),
 		ingestDone:   make(chan struct{}),
-		users:        cache.NewLocked[userKey, []byte](cfg.CacheSize),
 		store:        cfg.Store,
 		backend:      cfg.Backend,
 	}
@@ -323,17 +303,12 @@ func newServer(cfg Config, after func(time.Duration) <-chan time.Time) (*Server,
 	// Replay the recovered journal into the scorer's online features. Only
 	// answered requests are journaled and only answered requests advance
 	// the scorer's logical clock, so a restarted server scores exactly like
-	// one that never went down — the same determinism contract the epoch
-	// read model holds.
+	// one that never went down — the same determinism contract the
+	// published epochs hold.
 	for _, req := range s.events {
 		s.scorer.Observe(req.From, req.Accepted)
 	}
-	// Epoch 0: the read model over recovered state, before any detection.
-	// With a persisted frozen snapshot the fold is O(delta): patch the
-	// snapshot's CSR with the journal tail instead of re-folding the whole
-	// log — byte-identical to the cold fold by the splice contract.
-	s.lastFrozen, s.frozenEvents = rec.Frozen, rec.SnapshotCount
-	s.advanceReadModel(s.events)
+	// Epoch 0: the recovered journal, before any detection.
 	s.publishEpoch(s.buildEpoch(len(s.events), nil, false))
 	s.lastSnapCount = rec.SnapshotCount
 	if s.backend == nil {
@@ -537,8 +512,8 @@ func (s *Server) detectorLoop() {
 	}
 }
 
-// runDetection snapshots the event log, brings the read model up to it,
-// and advances detection by the journal's new tail — the incremental
+// runDetection snapshots the event log and advances detection by the
+// journal's new tail — the incremental
 // engine's Step, or the Backend's Detect at the same cut — publishing the
 // result as a new epoch. Shutdown interrupts it between rounds; the partial
 // epoch (completed-intervals prefix) is still published and the
@@ -559,12 +534,6 @@ func (s *Server) runDetection() (*Epoch, error) {
 	defer obs.Server.DetectInflight.Set(0)
 	start := time.Now()
 
-	// The read model goes first, unconditionally: even if the detection
-	// below is interrupted, the published epoch serves per-user lookups
-	// over the full cut.
-	s.advanceReadModel(reqs)
-	readModelMS := float64(time.Since(start)) / float64(time.Millisecond)
-
 	var (
 		dets []core.IntervalDetection
 		err  error
@@ -575,7 +544,7 @@ func (s *Server) runDetection() (*Epoch, error) {
 		// core.ErrInterrupted), so no partial epoch is published for it.
 		dets, err = s.backend.Detect(len(reqs), s.quit)
 	} else {
-		dets, err = s.stepEngine(reqs, readModelMS)
+		dets, err = s.stepEngine(reqs)
 	}
 	interrupted := errors.Is(err, core.ErrInterrupted)
 	if err != nil && !interrupted {
@@ -595,53 +564,26 @@ func (s *Server) runDetection() (*Epoch, error) {
 		s.interrupted.Store(true)
 		return ep, core.ErrInterrupted
 	}
-	s.maybeSnapshot(reqs, ep)
+	s.maybeSnapshot(reqs)
 	return ep, nil
-}
-
-// advanceReadModel brings lastFrozen — base plus every answered request,
-// the snapshot per-user lookups are served from — up to the prefix reqs:
-// the new tail is spliced into the previous snapshot, or the whole prefix
-// folded cold when there is no snapshot yet or the tail is too large a
-// fraction of it. Both produce byte-identical snapshots (the splice
-// contract).
-func (s *Server) advanceReadModel(reqs []core.TimedRequest) {
-	tail := incr.Delta{Requests: reqs[s.frozenEvents:]}
-	switch {
-	case s.lastFrozen != nil && tail.Empty():
-	case incr.ShouldPatch(s.lastFrozen, tail):
-		s.lastFrozen = incr.Patch(s.lastFrozen, tail)
-	default:
-		aug := s.base.Clone()
-		for _, req := range reqs {
-			if req.Accepted {
-				aug.AddFriendship(req.From, req.To)
-			} else {
-				aug.AddRejection(req.To, req.From)
-			}
-		}
-		s.lastFrozen = aug.FreezeCanonical()
-	}
-	s.frozenEvents = len(reqs)
 }
 
 // stepEngine advances the incremental engine to the prefix reqs. The
 // engine consumes the tail before detecting, so an interrupted step loses
 // nothing — the next run re-detects the stale intervals from memoized
 // state.
-func (s *Server) stepEngine(reqs []core.TimedRequest, readModelMS float64) ([]core.IntervalDetection, error) {
+func (s *Server) stepEngine(reqs []core.TimedRequest) ([]core.IntervalDetection, error) {
 	dets, stats, err := s.engine.Step(incr.Delta{Requests: reqs[s.engineEvents:]})
 	s.engineEvents = len(reqs)
 	s.incrStats.Store(&incrStatsReply{
-		Patched:     stats.Patched,
-		ColdBuilt:   stats.ColdBuilt,
-		Reused:      stats.Reused,
-		WarmRounds:  stats.WarmRounds,
-		Fallbacks:   stats.Fallbacks,
-		ColdRounds:  stats.ColdRounds,
-		ReadModelMS: readModelMS,
-		PatchMS:     float64(stats.PatchDur) / float64(time.Millisecond),
-		SolveMS:     float64(stats.SolveDur) / float64(time.Millisecond),
+		Patched:    stats.Patched,
+		ColdBuilt:  stats.ColdBuilt,
+		Reused:     stats.Reused,
+		WarmRounds: stats.WarmRounds,
+		Fallbacks:  stats.Fallbacks,
+		ColdRounds: stats.ColdRounds,
+		PatchMS:    float64(stats.PatchDur) / float64(time.Millisecond),
+		SolveMS:    float64(stats.SolveDur) / float64(time.Millisecond),
 	})
 	return dets, err
 }
@@ -649,17 +591,16 @@ func (s *Server) stepEngine(reqs []core.TimedRequest, readModelMS float64) ([]co
 // maybeSnapshot persists a storage snapshot of the epoch just published
 // when enough journal records accumulated since the last one. The snapshot
 // covers exactly the immutable prefix this detection ran over and carries
-// the epoch's frozen read model and the engine's memo, exported right after
-// the Step that built this epoch so the persisted state is the one a
-// restart must resume from.
-func (s *Server) maybeSnapshot(reqs []core.TimedRequest, ep *Epoch) {
+// the engine's memo, exported right after the Step that built this epoch so
+// the persisted state is the one a restart must resume from.
+func (s *Server) maybeSnapshot(reqs []core.TimedRequest) {
 	if s.cfg.SnapshotEvery <= 0 || len(reqs)-s.lastSnapCount < s.cfg.SnapshotEvery {
 		return
 	}
 	memo, err := s.engine.ExportMemo()
 	if err == nil {
 		err = s.store.Snapshot(storage.SnapshotState{
-			Count: len(reqs), Requests: reqs, Frozen: ep.frozen, Memo: memo,
+			Count: len(reqs), Requests: reqs, Memo: memo,
 		})
 	}
 	if err != nil {
@@ -671,8 +612,7 @@ func (s *Server) maybeSnapshot(reqs []core.TimedRequest, ep *Epoch) {
 	s.lastSnapCount = len(reqs)
 }
 
-// buildEpoch assembles an epoch over the first events journal records
-// around the current read model.
+// buildEpoch assembles an epoch over the first events journal records.
 func (s *Server) buildEpoch(events int, dets []core.IntervalDetection, interrupted bool) *Epoch {
 	suspects := make(map[graph.NodeID][]int)
 	for _, d := range dets {
@@ -686,7 +626,6 @@ func (s *Server) buildEpoch(events int, dets []core.IntervalDetection, interrupt
 		Intervals:        dets,
 		Interrupted:      interrupted,
 		CompletedAt:      time.Now(),
-		frozen:           s.lastFrozen,
 		suspectIntervals: suspects,
 	}
 	s.epochSeq++
@@ -695,9 +634,9 @@ func (s *Server) buildEpoch(events int, dets []core.IntervalDetection, interrupt
 
 // publishEpoch makes ep the served epoch and hands its suspect set to the
 // real-time scorer as an immutable view. The two stores are separate
-// atomics, so a score issued mid-publish may pair the old epoch view with
-// the new /v1/users read model for one instant — but each verdict reads
-// exactly one view, never a blend of two suspect sets.
+// atomics, so for one instant /v1/suspects may serve the new epoch while a
+// score still reads the old view — but each verdict reads exactly one
+// view, never a blend of two suspect sets.
 func (s *Server) publishEpoch(ep *Epoch) {
 	s.epoch.Store(ep)
 	suspects := make([]graph.NodeID, 0, len(ep.suspectIntervals))

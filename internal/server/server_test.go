@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -64,18 +65,25 @@ func TestIngestDetectAndLookup(t *testing.T) {
 		t.Fatal("GET /v1/suspects differs from the POST /v1/detect reply")
 	}
 
-	// Per-user lookups: a caught spammer vs a legitimate user.
-	var spammer userReply
-	getJSON(t, ts.URL+"/v1/users/"+strconv.Itoa(int(interval1.Suspects[0])), &spammer)
-	if !spammer.Suspect || len(spammer.Intervals) == 0 {
+	// Per-account lookups through /v1/score: a caught spammer carries the
+	// epoch-suspect reason and is denied; a node no interval flagged must
+	// not carry it. Both verdicts read the epoch just published.
+	var spammer scoreReply
+	getJSON(t, ts.URL+"/v1/score?id="+strconv.Itoa(int(interval1.Suspects[0])), &spammer)
+	if !slices.Contains(spammer.Reasons, "epoch_suspect") || spammer.Verdict != "deny" {
 		t.Fatalf("flagged user served as non-suspect: %+v", spammer)
 	}
-	// A node no interval flagged must be served as non-suspect.
+	if spammer.Epoch != detected.Epoch {
+		t.Fatalf("spammer verdict read epoch %d, want %d", spammer.Epoch, detected.Epoch)
+	}
 	flagged := make(map[graph.NodeID]bool)
-	for _, iv := range detected.Intervals {
+	for _, iv := range served.Intervals {
 		for _, u := range iv.Suspects {
 			flagged[u] = true
 		}
+	}
+	if !flagged[interval1.Suspects[0]] {
+		t.Fatalf("GET /v1/suspects lacks flagged user %d", interval1.Suspects[0])
 	}
 	legitID := -1
 	for id := n - 1; id >= spammers; id-- {
@@ -87,23 +95,13 @@ func TestIngestDetectAndLookup(t *testing.T) {
 	if legitID < 0 {
 		t.Fatal("every node flagged; workload is unusable")
 	}
-	var legit userReply
-	getJSON(t, ts.URL+"/v1/users/"+strconv.Itoa(legitID), &legit)
-	if legit.Suspect {
+	var legit scoreReply
+	getJSON(t, ts.URL+"/v1/score?id="+strconv.Itoa(legitID), &legit)
+	if slices.Contains(legit.Reasons, "epoch_suspect") {
 		t.Fatalf("unflagged user served as suspect: %+v", legit)
 	}
-	if legit.Degree < 2 {
-		t.Fatalf("user stats missing base friendships: %+v", legit)
-	}
-
-	// Repeated lookup of the same user must hit the per-epoch memo.
-	var st statsReply
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	h0 := st.CacheHits
-	getJSON(t, ts.URL+"/v1/users/"+strconv.Itoa(legitID), &legit)
-	getJSON(t, ts.URL+"/v1/stats", &st)
-	if st.CacheHits <= h0 {
-		t.Fatalf("repeated lookup did not hit the cache: hits %d → %d", h0, st.CacheHits)
+	if legit.ID != graph.NodeID(legitID) || legit.Epoch != detected.Epoch {
+		t.Fatalf("legit verdict for %d read %+v, want epoch %d", legitID, legit, detected.Epoch)
 	}
 }
 

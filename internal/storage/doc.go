@@ -6,9 +6,9 @@
 // Open returns the one Store implementation: fixed-size segments of
 // CRC32C-checksummed binary records with a sealed-segment footer, a
 // manifest naming the live segment set and the latest snapshot, snapshot
-// files folding the journal prefix (plus the frozen CSR read model and the
-// epoch engine's memo) into one bulk-loadable file, and compaction that
-// deletes segments fully covered by a snapshot.
+// files folding the journal prefix (plus the epoch engine's memo) into one
+// bulk-loadable file, and compaction that deletes segments fully covered by
+// a snapshot.
 //
 // # Correctness model
 //

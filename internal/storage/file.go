@@ -178,7 +178,6 @@ func (s *FileStore) Recover(apply func([]core.TimedRequest) error) (Recovered, e
 				m.snapshotCount, m.snapshotFile, snap.SnapshotCount)
 		}
 		rec.SnapshotCount = snap.SnapshotCount
-		rec.Frozen = snap.Frozen
 		rec.Memo = snap.Memo
 		rec.Info.SnapshotRecords = snap.SnapshotCount
 		s.snapFile, s.snapCount = m.snapshotFile, m.snapshotCount

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -97,8 +98,12 @@ func scanSegment(path string, skipBelow int64, apply func(core.TimedRequest) err
 		return segScan{}, err
 	}
 
+	// One read(2) per 64 KiB, not per frame. io.ReadFull reports io.EOF and
+	// io.ErrUnexpectedEOF through a bufio.Reader exactly as on the file, so
+	// the torn-tail arithmetic below is unchanged.
+	r := bufio.NewReaderSize(f, 1<<16)
 	var hdr [segmentHeaderSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		// A header too short to read is a torn segment-create; the whole
 		// file is tail.
 		return segScan{goodLen: 0, tornLen: st.Size()}, nil
@@ -114,7 +119,7 @@ func scanSegment(path string, skipBelow int64, apply func(core.TimedRequest) err
 	buf := make([]byte, frameSize)
 	seq := scan.firstSeq
 	for {
-		n, err := io.ReadFull(f, buf)
+		n, err := io.ReadFull(r, buf)
 		if err == io.EOF {
 			break
 		}

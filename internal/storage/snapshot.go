@@ -13,8 +13,8 @@ import (
 )
 
 // Snapshot file format. A snapshot folds a journal prefix — and optionally
-// the frozen CSR read model and the incremental engine's memo for base +
-// that prefix — into one bulk-loadable file:
+// the incremental engine's memo for base + that prefix — into one
+// bulk-loadable file:
 //
 //	magic      [8]byte  "REJSNAP1"
 //	version    uint32   currently 1
@@ -25,6 +25,11 @@ import (
 //	frozen     graphio frozen blob, if flags bit0
 //	memo       incr memo blob, if flags bit1
 //	crc        uint32   CRC32C of everything above
+//
+// The frozen section held a CSR read model of base + the prefix that
+// nothing reads any more. This build never writes it; the reader still
+// decodes and discards one, so a snapshot written before it was dropped
+// keeps booting under the same version.
 //
 // The trailing checksum covers the whole body, so a snapshot is either
 // wholly trusted or wholly rejected — there is no "recover a prefix of the
@@ -50,9 +55,6 @@ func encodeSnapshot(st SnapshotState, unixNanos int64) ([]byte, error) {
 	buf.Grow(32 + st.Count*graphio.RequestRecordSize)
 	buf.Write(snapshotMagic[:])
 	var flags uint32
-	if st.Frozen != nil {
-		flags |= snapFlagFrozen
-	}
 	if st.Memo != nil {
 		flags |= snapFlagMemo
 	}
@@ -66,11 +68,6 @@ func encodeSnapshot(st SnapshotState, unixNanos int64) ([]byte, error) {
 	for _, req := range st.Requests {
 		graphio.PutRequest(rec[:], req)
 		buf.Write(rec[:])
-	}
-	if st.Frozen != nil {
-		if err := graphio.WriteFrozen(&buf, st.Frozen); err != nil {
-			return nil, err
-		}
 	}
 	if st.Memo != nil {
 		if err := incr.EncodeMemo(&buf, st.Memo); err != nil {
@@ -131,11 +128,9 @@ func readSnapshot(path string, apply func(reqs []core.TimedRequest) error) (snap
 	r := bytes.NewReader(records[count*graphio.RequestRecordSize:])
 	snap.SnapshotCount = int(count)
 	if flags&snapFlagFrozen != 0 {
-		f, err := graphio.ReadFrozen(r)
-		if err != nil {
+		if _, err := graphio.ReadFrozen(r); err != nil {
 			return Recovered{}, fmt.Errorf("storage: %s: snapshot frozen section: %w", path, err)
 		}
-		snap.Frozen = f
 	}
 	if flags&snapFlagMemo != 0 {
 		m, err := incr.DecodeMemo(r)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/incr"
 )
 
@@ -56,14 +55,12 @@ type Store interface {
 var ErrCrashed = errors.New("storage: simulated crash")
 
 // SnapshotState is everything a snapshot persists: the journal prefix it
-// covers, the canonical frozen read model of base + that prefix, and the
-// epoch engine's memo. Requests must hold exactly
-// Count records in arrival order; Frozen and Memo may be nil (a
-// requests-only snapshot still makes recovery O(delta) for the log itself).
+// covers and the epoch engine's memo. Requests must hold exactly Count
+// records in arrival order; Memo may be nil (a requests-only snapshot still
+// makes recovery O(delta) for the log itself).
 type SnapshotState struct {
 	Count    int
 	Requests []core.TimedRequest
-	Frozen   *graph.Frozen
 	Memo     *incr.MemoState
 }
 
@@ -72,9 +69,6 @@ type Recovered struct {
 	// SnapshotCount is the number of journal records the loaded snapshot
 	// covered; 0 when no snapshot was loaded.
 	SnapshotCount int
-	// Frozen is the snapshot's persisted read model (base + the first
-	// SnapshotCount requests), nil if the snapshot carried none.
-	Frozen *graph.Frozen
 	// Memo is the snapshot's persisted incremental-engine state, nil if
 	// the snapshot carried none.
 	Memo *incr.MemoState

@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -8,6 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/graphio"
+	"repro/internal/incr"
 )
 
 // reqSeq builds a deterministic answered-request sequence.
@@ -169,8 +174,7 @@ func TestSnapshotCompactsAndRecoversFast(t *testing.T) {
 	_, _, st := recoverAll(t, dir, 25*frameSize)
 	appendAll(t, st, reqs[:250])
 
-	frozen := frozenOf(reqs[:250], 16)
-	if err := st.Snapshot(SnapshotState{Count: 250, Requests: reqs[:250], Frozen: frozen}); err != nil {
+	if err := st.Snapshot(SnapshotState{Count: 250, Requests: reqs[:250]}); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	stats := st.Stats()
@@ -188,9 +192,6 @@ func TestSnapshotCompactsAndRecoversFast(t *testing.T) {
 	sameLog(t, log, reqs, "post-snapshot restart")
 	if rec.SnapshotCount != 250 {
 		t.Fatalf("recovered snapshot covers %d, want 250", rec.SnapshotCount)
-	}
-	if rec.Frozen == nil || !rec.Frozen.Equal(frozen) {
-		t.Fatal("recovered frozen snapshot missing or different")
 	}
 	// The bulk of the journal must have come from the snapshot, not replay.
 	if rec.Info.SegmentRecords >= 100 {
@@ -310,5 +311,182 @@ func TestRecoverTwiceFails(t *testing.T) {
 	}
 	if err := st2.Append(core.TimedRequest{From: 0, To: 1}); err == nil {
 		t.Fatal("Append before Recover succeeded")
+	}
+}
+
+// TestScanAcrossReadBuffer tears and corrupts a live segment longer than
+// two of scanSegment's 64 KiB read buffers. The header is 16 bytes and a
+// frame 18, so frame 3640 starts exactly at offset 65 536 (the first
+// refill) and frame 7280 spans 131 056–131 074, straddling the second. A
+// torn or checksum-failing frame there must be cut exactly as one inside
+// the first buffer is, and the store must stay writable.
+func TestScanAcrossReadBuffer(t *testing.T) {
+	const frames = 8000
+	frameAt := func(i int) int64 { return segmentHeaderSize + int64(i)*frameSize }
+	if frameAt(3640) != 1<<16 || frameAt(7280) >= 2<<16 || frameAt(7281) <= 2<<16 {
+		t.Fatal("frame arithmetic changed: re-place the cases below on the buffer boundaries")
+	}
+	for _, tc := range []struct {
+		name    string
+		records int // frames written before the damage
+		junk    int // torn bytes appended after them (0 = none)
+		corrupt int // frame whose payload is flipped (-1 = none)
+		keep    int // records that must survive
+	}{
+		{"torn tail straddling the second refill", 7280, 17, -1, 7280},
+		{"torn tail in the third fill", frames, 7, -1, frames},
+		{"bad checksum ending the first fill", frames, 0, 3639, 3639},
+		{"bad checksum starting the second fill", frames, 0, 3640, 3640},
+		{"bad checksum straddling the second refill", frames, 0, 7280, 7280},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reqs := reqSeq(11, 50, tc.records)
+			_, _, st := recoverAll(t, dir, defaultSegmentBytes)
+			appendAll(t, st, reqs)
+			st.Close()
+
+			seg := filepath.Join(dir, segmentFileName(0))
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(data)) != frameAt(tc.records) || len(data) <= 1<<16 {
+				t.Fatalf("live segment is %d bytes, want %d", len(data), frameAt(tc.records))
+			}
+			if tc.corrupt >= 0 {
+				data[frameAt(tc.corrupt)+5] ^= 0x01
+			}
+			for i := 0; i < tc.junk; i++ {
+				data = append(data, 0xAB)
+			}
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			log, rec, st2 := recoverAll(t, dir, defaultSegmentBytes)
+			sameLog(t, log, reqs[:tc.keep], "recovered")
+			if want := int64(len(data)) - frameAt(tc.keep); rec.Info.TornBytesTruncated != want {
+				t.Fatalf("reported %d bytes truncated, want %d", rec.Info.TornBytesTruncated, want)
+			}
+			more := reqSeq(12, 50, 5)
+			appendAll(t, st2, more)
+			st2.Close()
+			log2, rec2, st3 := recoverAll(t, dir, defaultSegmentBytes)
+			st3.Close()
+			sameLog(t, log2, append(append([]core.TimedRequest{}, reqs[:tc.keep]...), more...), "after truncation")
+			if rec2.Info.TornBytesTruncated != 0 {
+				t.Fatalf("clean reboot after truncation reported %d torn bytes", rec2.Info.TornBytesTruncated)
+			}
+		})
+	}
+}
+
+// encodeSnapshotWithFrozen writes st the way builds that kept a CSR read
+// model did: version 1, flags bit0 set, and the graphio frozen blob between
+// the request records and the memo.
+func encodeSnapshotWithFrozen(t *testing.T, st SnapshotState, frozen *graph.Frozen) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic[:])
+	flags := uint32(snapFlagFrozen)
+	if st.Memo != nil {
+		flags |= snapFlagMemo
+	}
+	var hdr [24]byte
+	binary.LittleEndian.PutUint32(hdr[0:], 1)
+	binary.LittleEndian.PutUint32(hdr[4:], flags)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(st.Count))
+	binary.LittleEndian.PutUint64(hdr[16:], 1)
+	buf.Write(hdr[:])
+	var rec [graphio.RequestRecordSize]byte
+	for _, req := range st.Requests {
+		graphio.PutRequest(rec[:], req)
+		buf.Write(rec[:])
+	}
+	if err := graphio.WriteFrozen(&buf, frozen); err != nil {
+		t.Fatal(err)
+	}
+	if st.Memo != nil {
+		if err := incr.EncodeMemo(&buf, st.Memo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	binary.LittleEndian.PutUint32(rec[:4], crc32.Checksum(buf.Bytes(), castagnoli))
+	buf.Write(rec[:4])
+	return buf.Bytes()
+}
+
+// TestSnapshotWithFrozenSectionStillBoots: a version-1 snapshot that
+// carries the frozen section recovers the same log, count and memo as one
+// without it, and a snapshot this build writes never sets the frozen flag.
+func TestSnapshotWithFrozenSectionStillBoots(t *testing.T) {
+	const n, snapAt = 16, 250
+	reqs := reqSeq(13, n, 300)
+	base := graph.New(n)
+	for i := 0; i < n; i++ {
+		base.AddFriendship(graph.NodeID(i), graph.NodeID((i+1)%n))
+	}
+	eng, err := incr.NewEngine(incr.Config{Base: base, Detector: core.DetectorOptions{
+		Cut:                 core.CutOptions{RandSeed: 7, Parallelism: 1},
+		AcceptanceThreshold: 0.6,
+		MaxRounds:           2,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := eng.Step(incr.Delta{Requests: reqs[:snapAt]}); err != nil {
+		t.Fatal(err)
+	}
+	memo, err := eng.ExportMemo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantMemo bytes.Buffer
+	if err := incr.EncodeMemo(&wantMemo, memo); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	_, _, st := recoverAll(t, dir, 25*frameSize)
+	appendAll(t, st, reqs[:snapAt])
+	state := SnapshotState{Count: snapAt, Requests: reqs[:snapAt], Memo: memo}
+	if err := st.Snapshot(state); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	appendAll(t, st, reqs[snapAt:])
+	st.Close()
+
+	snapPath := filepath.Join(dir, snapshotFileName(snapAt))
+	fresh, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flags := binary.LittleEndian.Uint32(fresh[12:]); flags&snapFlagFrozen != 0 || flags&snapFlagMemo == 0 {
+		t.Fatalf("fresh snapshot flags %#x: want memo set and frozen clear", flags)
+	}
+	old := encodeSnapshotWithFrozen(t, state, frozenOf(reqs[:snapAt], n))
+	if len(old) <= len(fresh) {
+		t.Fatalf("frozen-section snapshot is %d bytes, fresh one %d: no frozen section written", len(old), len(fresh))
+	}
+	if err := os.WriteFile(snapPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log, rec, st2 := recoverAll(t, dir, 25*frameSize)
+	defer st2.Close()
+	sameLog(t, log, reqs, "boot from a frozen-section snapshot")
+	if rec.SnapshotCount != snapAt || rec.Info.SnapshotRecords != snapAt {
+		t.Fatalf("recovered snapshot covers %d (%d from the file), want %d", rec.SnapshotCount, rec.Info.SnapshotRecords, snapAt)
+	}
+	if rec.Memo == nil {
+		t.Fatal("memo after the frozen section was not recovered")
+	}
+	var gotMemo bytes.Buffer
+	if err := incr.EncodeMemo(&gotMemo, rec.Memo); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotMemo.Bytes(), wantMemo.Bytes()) {
+		t.Fatal("memo recovered past the frozen section differs from the one written")
 	}
 }
