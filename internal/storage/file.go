@@ -55,10 +55,13 @@ type FileStore struct {
 	// counts; the last entry is the live (unsealed) write head.
 	segs []segInfo
 
-	// Write head state.
+	// Write head state. frame is the encode scratch of Append and the
+	// seal: a stack frame would escape through liveBuf.Write and
+	// crashTorn, one allocation per record.
 	liveFile  *os.File
 	liveBuf   *bufio.Writer
 	liveBytes int64
+	frame     [frameSize]byte
 
 	// Process-lifetime counters for Stats.
 	nSnapshots int64
@@ -368,12 +371,11 @@ func (s *FileStore) Append(req core.TimedRequest) error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	var frame [frameSize]byte
-	putRequestFrame(frame[:], req)
+	putRequestFrame(s.frame[:], req)
 	if f := hookAt(s.opts.Hooks, PointAppend, frameSize); f.Crash {
-		return s.crashTorn(frame[:], f.Torn)
+		return s.crashTorn(s.frame[:], f.Torn)
 	}
-	if _, err := s.liveBuf.Write(frame[:]); err != nil {
+	if _, err := s.liveBuf.Write(s.frame[:]); err != nil {
 		return err
 	}
 	s.liveBytes += frameSize
@@ -391,12 +393,11 @@ func (s *FileStore) Append(req core.TimedRequest) error {
 // its successor, and commits the new segment list to the manifest.
 func (s *FileStore) sealAndRollLocked() error {
 	live := &s.segs[len(s.segs)-1]
-	var frame [frameSize]byte
-	putSealFrame(frame[:], live.records)
+	putSealFrame(s.frame[:], live.records)
 	if f := hookAt(s.opts.Hooks, PointSeal, frameSize); f.Crash {
-		return s.crashTorn(frame[:], f.Torn)
+		return s.crashTorn(s.frame[:], f.Torn)
 	}
-	if _, err := s.liveBuf.Write(frame[:]); err != nil {
+	if _, err := s.liveBuf.Write(s.frame[:]); err != nil {
 		return err
 	}
 	if err := s.liveBuf.Flush(); err != nil {

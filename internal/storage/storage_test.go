@@ -490,3 +490,23 @@ func TestSnapshotWithFrozenSectionStillBoots(t *testing.T) {
 		t.Fatal("memo recovered past the frozen section differs from the one written")
 	}
 }
+
+// TestAppendAllocs is Append's allocation guard: a record that does not
+// seal its segment encodes into the store's scratch frame and the write
+// buffer, and allocates nothing.
+func TestAppendAllocs(t *testing.T) {
+	_, _, st := recoverAll(t, t.TempDir(), defaultSegmentBytes)
+	defer st.Close()
+	req := reqSeq(14, 10, 1)[0]
+	const runs = 1000
+	if (runs+1)*frameSize >= defaultSegmentBytes {
+		t.Fatal("the runs below would seal a segment")
+	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if err := st.Append(req); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Append allocates %v times per record, want 0", allocs)
+	}
+}
