@@ -276,10 +276,10 @@ func (c *Coordinator) callInstalled(w int, method dist.Call, args, reply any) er
 // Recover opens every shard's journal partition, pulls the durable
 // records back shard-major, rebuilds the coordinator's routing state, and
 // hands each shard's batch to apply (the server validates and folds them
-// there). Within a shard, records keep their journal order; detection and
-// the read model are order-independent across shards (DESIGN.md §16), so
-// the shard-major concatenation recovers the same published state the
-// pre-restart process held. Must be called exactly once, before any
+// there). Within a shard, records keep their journal order; detection is
+// order-independent across shards (DESIGN.md §16), so the shard-major
+// concatenation recovers the same published state the pre-restart
+// process held. Must be called exactly once, before any
 // Append or Detect.
 func (c *Coordinator) Recover(apply func([]core.TimedRequest) error) (int, error) {
 	c.mu.Lock()

@@ -65,10 +65,10 @@ func (d Delta) EdgeCount() int {
 	return n
 }
 
-// Edges flattens the delta into splice-ready edge lists for the full-log
-// read model (base graph plus every answered request, the epoch snapshot
-// rejectod serves lookups from): base friendships plus accepted requests,
-// and base rejections plus rejected requests as ⟨recipient, sender⟩.
+// Edges flattens the delta into splice-ready edge lists for a full-log
+// CSR (base graph plus every answered request): base friendships plus
+// accepted requests, and base rejections plus rejected requests as
+// ⟨recipient, sender⟩.
 // Self-requests contribute no edge, mirroring core.DetectSharded's
 // interval overlay.
 func (d Delta) Edges() (friendships, rejections [][2]graph.NodeID) {

@@ -49,8 +49,8 @@ func randomRequests(r *rand.Rand, nNodes, count, maxIv int) []core.TimedRequest 
 	return reqs
 }
 
-// coldModel folds base + requests the way rejectod's read model does and
-// freezes canonically — the reference Patch must hit byte for byte.
+// coldModel folds base + requests into one mutable graph and freezes it
+// canonically — the reference Patch must hit byte for byte.
 func coldModel(base *graph.Graph, newNodes int, reqs []core.TimedRequest) *graph.Frozen {
 	aug := base.Clone()
 	aug.AddNodes(newNodes)

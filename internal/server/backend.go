@@ -24,8 +24,7 @@ type Backend interface {
 
 	// Append journals one answered request. Durability may be deferred to
 	// the next Flush; ordering within a Recover replay only has to be
-	// preserved per sender (detection is order-independent
-	// beyond that).
+	// preserved per sender (detection is order-independent beyond that).
 	Append(req core.TimedRequest) error
 
 	// Flush makes every appended record durable — called by the ingest

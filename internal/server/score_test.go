@@ -64,11 +64,11 @@ func TestScoreEpochConsistencyProperty(t *testing.T) {
 		ep := detectNow(t, s)
 
 		opts := s.Scorer().Options()
-		if len(ep.suspectIntervals) == 0 {
+		if len(ep.suspects) == 0 {
 			// A world with no suspects still checks determinism below.
 			t.Logf("world %d: no suspects", w)
 		}
-		for u := range ep.suspectIntervals {
+		for _, u := range ep.suspects {
 			res, err := s.Score(u)
 			if err != nil {
 				t.Fatalf("world %d: scoring suspect %d: %v", w, u, err)
@@ -132,8 +132,8 @@ func TestScoreVsPublishRace(t *testing.T) {
 	// the recovery epoch: empty.
 	var epochs sync.Map
 	recordEpoch := func(ep *Epoch) {
-		set := make(map[graph.NodeID]bool, len(ep.suspectIntervals))
-		for u := range ep.suspectIntervals {
+		set := make(map[graph.NodeID]bool, len(ep.suspects))
+		for _, u := range ep.suspects {
 			set[u] = true
 		}
 		epochs.Store(ep.Seq, set)
@@ -335,13 +335,13 @@ func TestScoreHookDrivesEnforcement(t *testing.T) {
 	postEvents(t, ts.URL, spamWorkload(r, n, 5))
 	drainIngest(t, s)
 	ep := detectNow(t, s)
-	if len(ep.suspectIntervals) == 0 {
+	if len(ep.suspects) == 0 {
 		t.Skip("world produced no suspects")
 	}
 
 	var suspect graph.NodeID
 	found := false
-	for u := range ep.suspectIntervals {
+	for _, u := range ep.suspects {
 		if !found || u < suspect {
 			suspect, found = u, true
 		}

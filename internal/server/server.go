@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,8 +131,8 @@ type Epoch struct {
 	// CompletedAt is the detection's completion time.
 	CompletedAt time.Time
 
-	// suspectIntervals maps each suspect to the intervals that flagged it.
-	suspectIntervals map[graph.NodeID][]int
+	// suspects is the union of the intervals' suspect sets, ascending.
+	suspects []graph.NodeID
 }
 
 type detectResult struct {
@@ -513,11 +513,11 @@ func (s *Server) detectorLoop() {
 }
 
 // runDetection snapshots the event log and advances detection by the
-// journal's new tail — the incremental
-// engine's Step, or the Backend's Detect at the same cut — publishing the
-// result as a new epoch. Shutdown interrupts it between rounds; the partial
-// epoch (completed-intervals prefix) is still published and the
-// interruption recorded for the process exit status.
+// journal's new tail — the incremental engine's Step, or the Backend's
+// Detect at the same cut — publishing the result as a new epoch.
+// Shutdown interrupts it between rounds; the partial epoch
+// (completed-intervals prefix) is still published and the interruption
+// recorded for the process exit status.
 func (s *Server) runDetection() (*Epoch, error) {
 	reply := make(chan []core.TimedRequest, 1)
 	select {
@@ -614,19 +614,18 @@ func (s *Server) maybeSnapshot(reqs []core.TimedRequest) {
 
 // buildEpoch assembles an epoch over the first events journal records.
 func (s *Server) buildEpoch(events int, dets []core.IntervalDetection, interrupted bool) *Epoch {
-	suspects := make(map[graph.NodeID][]int)
+	var suspects []graph.NodeID
 	for _, d := range dets {
-		for _, u := range d.Detection.Suspects {
-			suspects[u] = append(suspects[u], d.Interval)
-		}
+		suspects = append(suspects, d.Detection.Suspects...)
 	}
+	slices.Sort(suspects)
 	ep := &Epoch{
-		Seq:              s.epochSeq,
-		Events:           events,
-		Intervals:        dets,
-		Interrupted:      interrupted,
-		CompletedAt:      time.Now(),
-		suspectIntervals: suspects,
+		Seq:         s.epochSeq,
+		Events:      events,
+		Intervals:   dets,
+		Interrupted: interrupted,
+		CompletedAt: time.Now(),
+		suspects:    slices.Compact(suspects),
 	}
 	s.epochSeq++
 	return ep
@@ -639,21 +638,16 @@ func (s *Server) buildEpoch(events int, dets []core.IntervalDetection, interrupt
 // view, never a blend of two suspect sets.
 func (s *Server) publishEpoch(ep *Epoch) {
 	s.epoch.Store(ep)
-	suspects := make([]graph.NodeID, 0, len(ep.suspectIntervals))
-	for u := range ep.suspectIntervals {
-		suspects = append(suspects, u)
-	}
-	sort.Slice(suspects, func(i, j int) bool { return suspects[i] < suspects[j] })
-	s.scorer.PublishEpoch(score.NewEpochView(ep.Seq, int64(ep.Events), s.base.NumNodes(), suspects))
+	s.scorer.PublishEpoch(score.NewEpochView(ep.Seq, int64(ep.Events), s.base.NumNodes(), ep.suspects))
 	if s.cfg.EpochHook != nil {
-		s.cfg.EpochHook(ep.Seq, suspects)
+		s.cfg.EpochHook(ep.Seq, slices.Clone(ep.suspects))
 	}
 	obs.Server.ScorePublishes.Add(1)
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.Emit(obs.Event{
 			Name:     obs.EvScorePublish,
 			Wall:     time.Now(),
-			Suspects: len(suspects),
+			Suspects: len(ep.suspects),
 			Nodes:    s.base.NumNodes(),
 			Detail:   s.mode(),
 		})
